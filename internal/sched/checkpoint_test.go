@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
 	"spothost/internal/vm"
@@ -63,5 +64,42 @@ func TestCheckpointDaemonStopsOnOnDemand(t *testing.T) {
 	}
 	if full.CheckpointGB <= 0 {
 		t.Fatal("daemon never ran")
+	}
+}
+
+// TestStoppedDaemonsLeaveNoRegistration: the scheduler starts one daemon
+// per spot placement, and each daemon's engine registration (sim.Lazy)
+// must end when the placement does. Over a run that flips between spot
+// and on-demand many times, the engine holds exactly the active daemon,
+// and nothing once the service stops.
+func TestStoppedDaemonsLeaveNoRegistration(t *testing.T) {
+	const horizon = 4 * sim.Day
+	var pts []market.Point
+	for at := sim.Time(0); at+2.5*sim.Hour < horizon; at += 5 * sim.Hour {
+		pts = append(pts, market.Point{T: at, Price: 0.01}, market.Point{T: at + 2.5*sim.Hour, Price: 0.30})
+	}
+	set := singleMarketSet(t, pts, horizon)
+	eng := sim.NewEngine()
+	s, err := New(cloud.NewProvider(eng, set, fixedCloudParams()), mustConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	for at := sim.Time(0); at < horizon; at += 7 * sim.Minute {
+		eng.RunUntil(at)
+		want := 0
+		if s.ckptDaemon != nil {
+			want = 1
+		}
+		if got := eng.Registered(); got != want {
+			t.Fatalf("t=%v: %d engine registrations, %d active daemons", at, got, want)
+		}
+	}
+	if len(s.daemonEpochs) < 10 {
+		t.Fatalf("only %d daemon epochs: the script did not flip placements", len(s.daemonEpochs))
+	}
+	s.Stop()
+	if got := eng.Registered(); got != 0 {
+		t.Fatalf("%d engine registrations after Stop", got)
 	}
 }

@@ -7,7 +7,8 @@
 //
 //   - per-market price events: the cursor's NextChangeAfter(now),
 //   - per-instance billing hours: lastHourAt + 1h,
-//   - the checkpoint daemon's next write: its write clocks (vm.DaemonState),
+//   - the checkpoint daemon's next write: its state (vm.DaemonState; the
+//     daemon posts no events, it advances on demand),
 //   - the next placement decision: recomputable via scheduleNextDecision
 //     (the first hour boundary B with B - lead > now is the same whether
 //     the predicate is evaluated now or when the event was armed, because
@@ -304,7 +305,9 @@ func Resume(prov *cloud.Provider, cfg Config, ck *Checkpoint) (*Scheduler, error
 // checkpoint-I/O accumulator by replaying the daemon's write schedule over
 // every recorded epoch under cfg's parameters, in chronological order —
 // the identical sequence of float additions a cold run performs — and
-// re-arming the still-open epoch's daemon on the fresh engine.
+// restoring the still-open epoch's daemon on the fresh engine. Each epoch
+// replays its writes due strictly before its stop (or the checkpoint
+// instant), the rule a cold run's daemon Stop applies.
 func (s *Scheduler) resumeDaemon(ck *Checkpoint) error {
 	spec, p := s.cfg.Service.VM, s.cfg.VMParams
 	count := float64(s.cfg.Service.Count)

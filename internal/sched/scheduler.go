@@ -981,6 +981,9 @@ func (s *Scheduler) Report() metrics.Report {
 	} else {
 		s.setPlacement(s.curPlace) // close the open placement interval
 	}
+	if s.ckptDaemon != nil {
+		s.ckptDaemon.Settle() // account the writes due up to now
+	}
 
 	cost := 0.0
 	for _, in := range s.instances {

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -51,33 +50,88 @@ func (e *Event) At() Time { return e.at }
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e.canceled }
 
+// before reports whether a fires ahead of b: earlier time first, and
+// among equal times the earlier-scheduled event (FIFO tie-break).
+func (a *Event) before(b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is a 4-ary min-heap of events ordered by before, each event
+// carrying its own index so Cancel can remove it in place. Four children
+// a node halve a binary heap's depth, and the concrete element type keeps
+// the sift loops free of interface calls and boxing. Since (at, seq) is a
+// total order, the pop sequence is the same as any other correct heap's.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push inserts ev.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
+}
+
+// remove deletes and returns the event at index i, leaving its index -1.
+func (h *eventHeap) remove(i int) *Event {
+	s := *h
+	n := len(s) - 1
+	ev := s[i]
+	last := s[n]
+	s[n] = nil
+	*h = s[:n]
+	if i < n && !h.down(i, last) {
+		h.up(i, last)
 	}
-	return h[i].seq < h[j].seq
+	ev.index = -1
+	return ev
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up places ev, which belongs at index i or above, by moving parents that
+// fire after it down the tree.
+func (h eventHeap) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 4
+		parent := h[p]
+		if !ev.before(parent) {
+			break
+		}
+		h[i] = parent
+		parent.index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// down places ev, which belongs at index i0 or below, by moving the
+// earliest child up while it fires before ev. It reports whether ev moved.
+func (h eventHeap) down(i0 int, ev *Event) bool {
+	n := len(h)
+	i := i0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		child := h[m]
+		if !child.before(ev) {
+			break
+		}
+		h[i] = child
+		child.index = i
+		i = m
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // Engine is a discrete-event simulation kernel. The zero value is not
@@ -114,6 +168,9 @@ type Engine struct {
 	// Same carrier pattern as rec: the engine only holds it, models read
 	// it via Obs() and guard on nil at each hook.
 	ob *obs.Recorder
+	// lazy holds the processes advanced on demand (see Lazy), settled
+	// each time a run returns.
+	lazy []Lazy
 }
 
 // CancelPollInterval is the default number of executed events between
@@ -211,8 +268,7 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events (including canceled ones not yet
-// reaped) waiting in the queue.
+// Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.pending) }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
@@ -251,7 +307,7 @@ func (e *Engine) schedule(at Time, fn func(), pooled bool) *Event {
 		panic(fmt.Sprintf("sim: Schedule at %v before now %v", at, e.now))
 	}
 	ev := e.acquire(at, fn, pooled)
-	heap.Push(&e.pending, ev)
+	e.pending.push(ev)
 	return ev
 }
 
@@ -262,10 +318,10 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.canceled = true
-	// The event stays in the heap and is skipped when popped; removing it
-	// eagerly keeps the heap small when cancellation is common.
+	// Removing the event eagerly keeps the heap small when cancellation is
+	// common, and the run loop never meets a canceled event.
 	if ev.index >= 0 && ev.index < len(e.pending) && e.pending[ev.index] == ev {
-		heap.Remove(&e.pending, ev.index)
+		e.pending.remove(ev.index)
 	}
 }
 
@@ -319,43 +375,56 @@ func (e *Engine) canceled() bool {
 	return false
 }
 
-// step executes the earliest pending event. It reports false when the queue
-// is empty.
+// step executes the earliest pending event if it fires at or before
+// limit. It reports false when there is none.
 func (e *Engine) step(limit Time) bool {
-	for len(e.pending) > 0 {
-		next := e.pending[0]
-		if next.canceled {
-			heap.Pop(&e.pending)
-			continue
-		}
-		if next.at > limit {
-			return false
-		}
-		heap.Pop(&e.pending)
-		e.now = next.at
-		e.processed++
-		fn := next.fn
-		if next.pooled {
-			// Nothing outside the engine references a pooled event, so its
-			// struct can be reused by the next acquire. Recycle before fn
-			// runs so an event scheduled by fn can claim it immediately.
-			e.release(next)
-		}
-		fn()
-		return true
+	if len(e.pending) == 0 || e.pending[0].at > limit {
+		return false
 	}
-	return false
+	next := e.pending.remove(0)
+	e.now = next.at
+	e.processed++
+	fn := next.fn
+	if next.pooled {
+		// Nothing outside the engine references a pooled event, so its
+		// struct can be reused by the next acquire. Recycle before fn
+		// runs so an event scheduled by fn can claim it immediately.
+		e.release(next)
+	}
+	fn()
+	return true
 }
 
 // Run executes events until the queue drains, Stop is called, or the
-// context set via SetContext is canceled.
+// context set via SetContext is canceled, then settles the registered lazy
+// processes.
 func (e *Engine) Run() {
+	e.loop(math.Inf(1))
+	e.settle()
+}
+
+// RunUntil executes events with timestamps <= horizon, then advances the
+// clock to exactly horizon and settles the registered lazy processes.
+// Events scheduled beyond the horizon remain pending. A run halted by Stop
+// or by context cancellation (see SetContext; check Err) leaves the clock
+// at the last executed event.
+func (e *Engine) RunUntil(horizon Time) {
+	e.loop(horizon)
+	if !e.stopped && horizon > e.now {
+		e.now = horizon
+	}
+	e.settle()
+}
+
+// loop executes events with timestamps <= limit until none is left, Stop
+// is called, or the armed context is canceled (which also sets stopped).
+func (e *Engine) loop(limit Time) {
 	e.stopped = false
 	if e.canceled() {
 		return
 	}
 	mark := e.processed
-	for !e.stopped && e.step(math.Inf(1)) {
+	for !e.stopped && e.step(limit) {
 		if e.ctx != nil && e.processed-mark >= e.pollEvery {
 			mark = e.processed
 			if e.canceled() {
@@ -365,26 +434,38 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= horizon, then advances the
-// clock to exactly horizon. Events scheduled beyond the horizon remain
-// pending. A run halted by Stop or by context cancellation (see
-// SetContext; check Err) leaves the clock at the last executed event.
-func (e *Engine) RunUntil(horizon Time) {
-	e.stopped = false
-	if e.canceled() {
-		return
-	}
-	mark := e.processed
-	for !e.stopped && e.step(horizon) {
-		if e.ctx != nil && e.processed-mark >= e.pollEvery {
-			mark = e.processed
-			if e.canceled() {
-				return
-			}
+// Lazy is a process the engine advances on demand instead of through
+// posted events: it keeps its own next-step time and catches up whenever
+// it is observed. The engine settles every registered process when a run
+// returns, so side effects a caller only sees through callbacks (the
+// checkpoint daemon's writes) are complete by the time the run yields.
+type Lazy interface {
+	// Settle executes every step due at or before the engine's clock.
+	Settle()
+}
+
+// Register adds p to the processes settled when a run returns.
+func (e *Engine) Register(p Lazy) { e.lazy = append(e.lazy, p) }
+
+// Unregister removes p; unregistering a process that is not registered is
+// a no-op.
+func (e *Engine) Unregister(p Lazy) {
+	for i, q := range e.lazy {
+		if q == p {
+			e.lazy = append(e.lazy[:i], e.lazy[i+1:]...)
+			return
 		}
 	}
-	if !e.stopped && horizon > e.now {
-		e.now = horizon
+}
+
+// Registered returns the number of registered lazy processes.
+func (e *Engine) Registered() int { return len(e.lazy) }
+
+// settle catches every registered process up to the clock, in
+// registration order.
+func (e *Engine) settle() {
+	for _, p := range e.lazy {
+		p.Settle()
 	}
 }
 

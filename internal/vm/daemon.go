@@ -6,12 +6,20 @@ import (
 	"spothost/internal/sim"
 )
 
-// CheckpointDaemon is the event-driven Yank-style background checkpointer.
-// It periodically writes the memory dirtied since the previous checkpoint
-// to the network volume, pacing itself so that at any instant the
+// CheckpointDaemon is the Yank-style background checkpointer. It
+// periodically writes the memory dirtied since the previous checkpoint to
+// the network volume, pacing itself so that at any instant the
 // not-yet-persisted ("exposed") state can be written out within the
 // configured bound — which is what lets a forced migration always complete
 // its final save inside the revocation grace window.
+//
+// The daemon posts no engine events. Its write cycle (full checkpoint
+// done → increment start → increment done → …) is the DaemonState state
+// machine, advanced on demand: every observer first catches it up to the
+// engine clock inclusive, Stop catches it up to just before the clock
+// (the rule ReplayDaemon applies at a cutoff), and the engine settles it
+// (sim.Lazy) when a run returns, so OnWrite observers have seen every
+// write by the time the run yields.
 //
 // The analytic models in timeline.go assume this daemon exists; the daemon
 // makes the assumption checkable: tests drive it through simulated time
@@ -21,24 +29,12 @@ type CheckpointDaemon struct {
 	spec Spec
 	p    Params
 
-	running   bool
-	stopped   bool
-	lastStart sim.Time // when the current interval began accumulating
-	writing   bool
-
-	fullCheckpoints int
-	incrementals    int
-	bytesWrittenMB  float64
-	busyMB          float64 // dirtied while a write was in flight
+	running bool
+	stopped bool
+	st      DaemonState
 
 	onWrite func(mb float64) // optional observer for I/O accounting
-
-	// Persistent closures for the steady-state incremental cycle, allocated
-	// once at construction so the periodic tick posts nothing new.
-	incrFn     func()  // arms writeIncrement
-	incrDoneFn func()  // completes the in-flight incremental write
-	fullDoneFn func()  // completes the initial full checkpoint
-	pendingMB  float64 // size of the in-flight incremental write
+	wrote   func(mb float64) // d.record, bound once for the cycle steps
 }
 
 // NewCheckpointDaemon creates a daemon for one VM. Call Start to begin the
@@ -51,27 +47,7 @@ func NewCheckpointDaemon(eng *sim.Engine, spec Spec, p Params) (*CheckpointDaemo
 		return nil, fmt.Errorf("vm: checkpoint bound must be positive, got %v", p.CheckpointBound)
 	}
 	d := &CheckpointDaemon{eng: eng, spec: spec, p: p}
-	d.incrFn = d.writeIncrement
-	d.incrDoneFn = func() {
-		if d.stopped {
-			return
-		}
-		d.writing = false
-		d.incrementals++
-		d.record(d.pendingMB)
-		d.scheduleNext()
-	}
-	d.fullDoneFn = func() {
-		if d.stopped {
-			return
-		}
-		d.writing = false
-		d.fullCheckpoints++
-		d.record(d.spec.MemoryMB())
-		// Pages dirtied during the full write are the first increment's
-		// backlog; the accumulation clock restarted at lastStart.
-		d.scheduleNext()
-	}
+	d.wrote = d.record
 	return d, nil
 }
 
@@ -89,47 +65,15 @@ func (d *CheckpointDaemon) Start() error {
 	if d.stopped {
 		return fmt.Errorf("vm: checkpoint daemon already stopped")
 	}
+	d.st = startState(d.spec, d.p, d.eng.Now())
 	d.running = true
-	d.writing = true
-	d.lastStart = d.eng.Now()
-	d.eng.PostAfter(d.spec.MemoryMB()/d.p.CheckpointWriteMBps, d.fullDoneFn)
+	d.eng.Register(d)
 	return nil
 }
 
-// scheduleNext arms the next incremental write at the Yank interval.
-func (d *CheckpointDaemon) scheduleNext() {
-	interval := d.p.CheckpointInterval(d.spec)
-	if interval <= 0 {
-		// Nothing dirties memory: no periodic work (Exposure stays 0).
-		return
-	}
-	target := d.lastStart + interval
-	now := d.eng.Now()
-	if target <= now {
-		target = now
-	}
-	d.eng.Post(target, d.incrFn)
-}
-
-// writeIncrement persists everything dirtied since lastStart.
-func (d *CheckpointDaemon) writeIncrement() {
-	if d.stopped || !d.running {
-		return
-	}
-	now := d.eng.Now()
-	dirtyMB := d.spec.DirtyRateMBps * (now - d.lastStart)
-	if max := d.spec.MemoryMB(); dirtyMB > max {
-		dirtyMB = max
-	}
-	d.writing = true
-	d.lastStart = now // pages dirtied from now on belong to the next increment
-	d.pendingMB = dirtyMB
-	d.eng.PostAfter(dirtyMB/d.p.CheckpointWriteMBps, d.incrDoneFn)
-}
-
-// record accounts one completed write.
+// record accounts one completed write (the cycle has already added it to
+// BytesWrittenMB).
 func (d *CheckpointDaemon) record(mb float64) {
-	d.bytesWrittenMB += mb
 	// The write occupied the volume for mb/rate seconds; feed the run's
 	// checkpoint-duration histogram (no-op without a recorder attached).
 	d.eng.Recorder().ObserveCheckpoint(mb / d.p.CheckpointWriteMBps)
@@ -138,14 +82,23 @@ func (d *CheckpointDaemon) record(mb float64) {
 	}
 }
 
+// Settle executes every cycle step due at or before the engine clock. The
+// engine calls it when a run returns; observers call it implicitly.
+func (d *CheckpointDaemon) Settle() {
+	if d.running {
+		d.st.advance(d.spec, d.p, d.eng.Now(), true, d.wrote)
+	}
+}
+
 // ExposureMB returns the amount of memory state that would be lost if the
 // VM vanished right now without a final save: everything dirtied since the
 // start of the last completed-or-in-flight checkpoint interval.
 func (d *CheckpointDaemon) ExposureMB() float64 {
-	if !d.running || d.stopped {
+	if !d.running {
 		return d.spec.MemoryMB()
 	}
-	mb := d.spec.DirtyRateMBps * (d.eng.Now() - d.lastStart)
+	d.Settle()
+	mb := d.spec.DirtyRateMBps * (d.eng.Now() - d.st.LastStart)
 	if max := d.spec.MemoryMB(); mb > max {
 		mb = max
 	}
@@ -157,7 +110,7 @@ func (d *CheckpointDaemon) ExposureMB() float64 {
 // CheckpointBound (plus one in-flight write that must drain first).
 func (d *CheckpointDaemon) FinalSaveTime() sim.Duration {
 	t := d.ExposureMB() / d.p.CheckpointWriteMBps
-	if d.writing {
+	if d.st.Writing {
 		// An in-flight write occupies the volume; the worst case is one
 		// full bound's worth of backlog ahead of the final save.
 		t += float64(d.p.CheckpointBound)
@@ -165,8 +118,15 @@ func (d *CheckpointDaemon) FinalSaveTime() sim.Duration {
 	return t
 }
 
-// Stop halts the daemon (the VM suspended or migrated away). Idempotent.
+// Stop halts the daemon (the VM suspended or migrated away), completing
+// the steps due strictly before the engine clock, and ends its engine
+// registration. Idempotent.
 func (d *CheckpointDaemon) Stop() {
+	if d.running {
+		d.st.advance(d.spec, d.p, d.eng.Now(), false, d.wrote)
+		d.eng.Unregister(d)
+	}
+	d.st.Next, d.st.NextAt = DaemonIdle, 0
 	d.stopped = true
 	d.running = false
 }
@@ -180,9 +140,10 @@ type DaemonStats struct {
 
 // Stats returns a snapshot of the daemon's activity counters.
 func (d *CheckpointDaemon) Stats() DaemonStats {
+	d.Settle()
 	return DaemonStats{
-		FullCheckpoints: d.fullCheckpoints,
-		Incrementals:    d.incrementals,
-		BytesWrittenMB:  d.bytesWrittenMB,
+		FullCheckpoints: d.st.FullCheckpoints,
+		Incrementals:    d.st.Incrementals,
+		BytesWrittenMB:  d.st.BytesWrittenMB,
 	}
 }

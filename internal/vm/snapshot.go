@@ -6,14 +6,13 @@ import (
 	"spothost/internal/sim"
 )
 
-// DaemonEventKind names the single event a checkpoint daemon ever has
-// pending. The daemon's schedule is a deterministic function of its write
-// clocks, so a snapshot needs only the kind and time of the next event —
-// no event-heap walk.
+// DaemonEventKind names the daemon's next cycle step. The daemon has at
+// most one step pending at a time, so its whole schedule is a kind and a
+// time.
 type DaemonEventKind int
 
 const (
-	// DaemonIdle means no event is pending (stopped, never started, or a
+	// DaemonIdle means no step is pending (stopped, never started, or a
 	// zero dirty rate left nothing to checkpoint).
 	DaemonIdle DaemonEventKind = iota
 	// DaemonFullDone completes the initial full checkpoint.
@@ -24,8 +23,10 @@ const (
 	DaemonIncrDone
 )
 
-// DaemonState is a serializable snapshot of a checkpoint daemon: its write
-// clocks, counters, and the one pending event reconstructed from them.
+// DaemonState is the checkpoint daemon's write-cycle state machine: its
+// write clocks, counters and the one pending step. The live daemon and
+// ReplayDaemon both advance it, so there is a single definition of the
+// write schedule, and a copy is a complete snapshot:
 // RestoreCheckpointDaemon rebuilds a live daemon that continues the exact
 // same write schedule on a fresh engine.
 type DaemonState struct {
@@ -39,134 +40,102 @@ type DaemonState struct {
 	NextAt          sim.Time
 }
 
-// Snapshot captures the daemon's current state. The pending event is
-// recomputed from the write clocks: the same float arithmetic that armed
-// the original event (Start posts full/rate after lastStart; writeIncrement
-// posts pendingMB/rate after lastStart; scheduleNext posts lastStart +
-// interval), so the reconstructed time is bit-identical to the event
-// sitting in the original engine's heap. A clamped scheduleNext target
-// (backlog, target <= now) fires immediately, so an event still pending at
-// a later quiescent instant was never clamped.
-func (d *CheckpointDaemon) Snapshot() DaemonState {
-	st := DaemonState{
-		LastStart:       d.lastStart,
-		Writing:         d.writing,
-		PendingMB:       d.pendingMB,
-		FullCheckpoints: d.fullCheckpoints,
-		Incrementals:    d.incrementals,
-		BytesWrittenMB:  d.bytesWrittenMB,
-	}
-	switch {
-	case !d.running || d.stopped:
-		st.Next = DaemonIdle
-	case d.writing && d.fullCheckpoints == 0:
-		st.Next = DaemonFullDone
-		st.NextAt = d.lastStart + d.spec.MemoryMB()/d.p.CheckpointWriteMBps
-	case d.writing:
-		st.Next = DaemonIncrDone
-		st.NextAt = d.lastStart + d.pendingMB/d.p.CheckpointWriteMBps
-	default:
-		interval := d.p.CheckpointInterval(d.spec)
-		if interval <= 0 {
-			st.Next = DaemonIdle
-		} else {
-			st.Next = DaemonIncrStart
-			st.NextAt = d.lastStart + interval
-		}
-	}
-	return st
-}
-
-// ReplayDaemon reproduces, without an engine, the write schedule of a
-// daemon Started at start and left running until cutoff (exclusive),
-// mirroring the live daemon's float operations op-for-op: callers that sum
-// the onWrite amounts in order obtain bit-identical accumulators to a run
-// that hosted the real daemon. It returns the daemon's state at cutoff,
-// suitable for RestoreCheckpointDaemon.
-func ReplayDaemon(spec Spec, p Params, start, cutoff sim.Time, onWrite func(mb float64)) DaemonState {
-	st := DaemonState{
+// startState is the state of a daemon Started at start: the initial full
+// checkpoint in flight.
+func startState(spec Spec, p Params, start sim.Time) DaemonState {
+	return DaemonState{
 		LastStart: start,
 		Writing:   true,
 		Next:      DaemonFullDone,
 		NextAt:    start + spec.MemoryMB()/p.CheckpointWriteMBps,
 	}
-	interval := p.CheckpointInterval(spec)
-	record := func(mb float64) {
-		st.BytesWrittenMB += mb
-		if onWrite != nil {
-			onWrite(mb)
-		}
-	}
-	scheduleNext := func(now sim.Time) {
-		if interval <= 0 {
-			st.Next = DaemonIdle
-			return
-		}
-		target := st.LastStart + interval
-		if target <= now {
-			target = now
-		}
-		st.Next = DaemonIncrStart
-		st.NextAt = target
-	}
-	for st.Next != DaemonIdle && st.NextAt < cutoff {
+}
+
+// advance executes the pending steps due before limit — or at limit too
+// when inclusive — in order, passing every completed write's size to wrote
+// (which may be nil) after adding it to BytesWrittenMB.
+func (st *DaemonState) advance(spec Spec, p Params, limit sim.Time, inclusive bool, wrote func(mb float64)) {
+	for st.Next != DaemonIdle && (st.NextAt < limit || (inclusive && st.NextAt == limit)) {
 		now := st.NextAt
+		var mb float64
 		switch st.Next {
 		case DaemonFullDone:
-			st.Writing = false
 			st.FullCheckpoints++
-			record(spec.MemoryMB())
-			scheduleNext(now)
+			mb = spec.MemoryMB()
 		case DaemonIncrStart:
 			dirty := spec.DirtyRateMBps * (now - st.LastStart)
 			if max := spec.MemoryMB(); dirty > max {
 				dirty = max
 			}
 			st.Writing = true
-			st.LastStart = now
+			st.LastStart = now // pages dirtied from now on belong to the next increment
 			st.PendingMB = dirty
 			st.Next = DaemonIncrDone
 			st.NextAt = now + dirty/p.CheckpointWriteMBps
+			continue
 		case DaemonIncrDone:
-			st.Writing = false
 			st.Incrementals++
-			record(st.PendingMB)
-			scheduleNext(now)
+			mb = st.PendingMB
 		}
+		// A write completed: account it and arm the next increment one
+		// Yank interval after the current one began accumulating (pages
+		// dirtied during the write are its backlog).
+		st.Writing = false
+		st.BytesWrittenMB += mb
+		if wrote != nil {
+			wrote(mb)
+		}
+		interval := p.CheckpointInterval(spec)
+		if interval <= 0 {
+			// Nothing dirties memory: no periodic work (exposure stays 0).
+			st.Next, st.NextAt = DaemonIdle, 0
+			continue
+		}
+		target := st.LastStart + interval
+		if target <= now {
+			target = now // backlog: start the next increment at once
+		}
+		st.Next, st.NextAt = DaemonIncrStart, target
 	}
+}
+
+// Snapshot captures the daemon's state, caught up to the engine clock
+// inclusive, so its pending step lies strictly in the future.
+func (d *CheckpointDaemon) Snapshot() DaemonState {
+	d.Settle()
+	return d.st
+}
+
+// ReplayDaemon reproduces, without an engine, the write schedule of a
+// daemon Started at start and Stopped at cutoff: the steps due strictly
+// before cutoff, with the live daemon's float operations (it is the same
+// state machine). Callers that sum the onWrite amounts in order obtain
+// bit-identical accumulators to a run that hosted the real daemon. It
+// returns the daemon's state at cutoff, suitable for
+// RestoreCheckpointDaemon.
+func ReplayDaemon(spec Spec, p Params, start, cutoff sim.Time, onWrite func(mb float64)) DaemonState {
+	st := startState(spec, p, start)
+	st.advance(spec, p, cutoff, false, onWrite)
 	return st
 }
 
 // RestoreCheckpointDaemon rebuilds a running daemon from a snapshot on a
-// fresh engine whose clock is at or before the snapshot's pending event.
+// fresh engine whose clock is at or before the snapshot's pending step. It
+// sets the daemon's state and registers it with the engine; nothing is
+// posted.
 func RestoreCheckpointDaemon(eng *sim.Engine, spec Spec, p Params, st DaemonState) (*CheckpointDaemon, error) {
+	if st.Next < DaemonIdle || st.Next > DaemonIncrDone {
+		return nil, fmt.Errorf("vm: unknown daemon event kind %d", st.Next)
+	}
 	d, err := NewCheckpointDaemon(eng, spec, p)
 	if err != nil {
 		return nil, err
 	}
+	if now := eng.Now(); st.Next != DaemonIdle && st.NextAt < now {
+		st.NextAt = now // the backlog clamp: the step runs at once
+	}
+	d.st = st
 	d.running = true
-	d.lastStart = st.LastStart
-	d.writing = st.Writing
-	d.pendingMB = st.PendingMB
-	d.fullCheckpoints = st.FullCheckpoints
-	d.incrementals = st.Incrementals
-	d.bytesWrittenMB = st.BytesWrittenMB
-	if st.Next == DaemonIdle {
-		return d, nil
-	}
-	at := st.NextAt
-	if now := eng.Now(); at < now {
-		at = now // mirrors scheduleNext's backlog clamp
-	}
-	switch st.Next {
-	case DaemonFullDone:
-		eng.Schedule(at, d.fullDoneFn)
-	case DaemonIncrStart:
-		eng.Schedule(at, d.incrFn)
-	case DaemonIncrDone:
-		eng.Schedule(at, d.incrDoneFn)
-	default:
-		return nil, fmt.Errorf("vm: unknown daemon event kind %d", st.Next)
-	}
+	eng.Register(d)
 	return d, nil
 }
