@@ -25,6 +25,7 @@ import (
 	"spothost/internal/fleet"
 	"spothost/internal/market"
 	"spothost/internal/obs"
+	"spothost/internal/runpool"
 	"spothost/internal/scenario"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
@@ -326,14 +327,29 @@ func BenchmarkFleetMonth(b *testing.B) {
 	mcfg := market.DefaultConfig(0)
 	var lost int
 	for i := 0; i < b.N; i++ {
-		reps, err := fleet.RunSeeds(mcfg, cloud.DefaultParams(0), cfg,
-			30*sim.Day, []int64{int64(i + 1)})
+		reps, err := fleetSeeds(mcfg, cfg, 30*sim.Day, []int64{int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		lost += reps[0].ReplicasLost
 	}
 	b.ReportMetric(float64(lost)/float64(b.N), "replicas-lost/run")
+}
+
+// fleetSeeds runs cfg against each seed's universe from the shared market
+// cache, one worker per CPU, and returns the reports in seed order.
+func fleetSeeds(mcfg market.Config, cfg fleet.Config, horizon sim.Duration, seeds []int64) ([]fleet.Report, error) {
+	return runpool.MapCtx(context.Background(), 0, seeds, func(ctx context.Context, _ int, seed int64) (fleet.Report, error) {
+		mc := mcfg
+		mc.Seed = seed
+		set, err := market.SharedCache().Generate(mc)
+		if err != nil {
+			return fleet.Report{}, err
+		}
+		cp := cloud.DefaultParams(0)
+		cp.Seed = seed
+		return fleet.RunCtx(ctx, set, cp, cfg, horizon)
+	})
 }
 
 // BenchmarkFleetMonthObs is BenchmarkFleetMonth with a telemetry recorder
@@ -391,8 +407,8 @@ func BenchmarkRunSeedsParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.RunSeedsParallel(mcfg, cloud.DefaultParams(0), cfg,
-					10*sim.Day, seeds, workers); err != nil {
+				if _, err := sched.RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg,
+					10*sim.Day, seeds, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -706,8 +722,7 @@ func BenchmarkFleetMonthCatalog(b *testing.B) {
 	mcfg.Types = cat.TypeSpecs()
 	var lost int
 	for i := 0; i < b.N; i++ {
-		reps, err := fleet.RunSeeds(mcfg, cloud.DefaultParams(0), cfg,
-			30*sim.Day, []int64{int64(i + 1)})
+		reps, err := fleetSeeds(mcfg, cfg, 30*sim.Day, []int64{int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -86,8 +86,8 @@ func TestOnDemandLifecycleAndBilling(t *testing.T) {
 	if got := in.Charged(); math.Abs(got-0.18) > 1e-12 {
 		t.Fatalf("charged = %v, want 0.18", got)
 	}
-	if got := p.Ledger().OnDemandTotal(); math.Abs(got-0.18) > 1e-12 {
-		t.Fatalf("ledger on-demand = %v", got)
+	if _, od := splitTotals(p.Ledger()); math.Abs(od-0.18) > 1e-12 {
+		t.Fatalf("ledger on-demand = %v", od)
 	}
 	// No further charges accrue after termination.
 	eng.RunUntil(20 * sim.Hour)
@@ -316,69 +316,6 @@ func TestSpotPriceAndMaxBid(t *testing.T) {
 	}
 }
 
-func TestVolumes(t *testing.T) {
-	eng, p := newTestProvider(t)
-	v, err := p.CreateVolume("us-east-1a", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.CreateVolume("us-east-1a", 0); err == nil {
-		t.Error("zero-size volume accepted")
-	}
-	in, _ := p.RequestOnDemand(mSmall, Callbacks{})
-	other, _ := p.RequestOnDemand(mLarge, Callbacks{})
-	eng.RunUntil(200)
-
-	attached := false
-	if err := p.AttachVolume(v, in, func() { attached = true }); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(300)
-	if !attached {
-		t.Fatal("attach completion not delivered")
-	}
-	if id, ok := v.Attached(); !ok || id != in.ID() {
-		t.Fatalf("attachment state: %v %v", id, ok)
-	}
-	// Double attach fails.
-	if err := p.AttachVolume(v, in, nil); err == nil {
-		t.Error("double attach accepted")
-	}
-	// Delete while attached fails.
-	if err := p.DeleteVolume(v); err == nil {
-		t.Error("delete of attached volume accepted")
-	}
-	// Cross-region attach fails.
-	v2, _ := p.CreateVolume("us-east-1a", 5)
-	if err := p.AttachVolume(v2, other, nil); err == nil {
-		t.Error("cross-region attach accepted")
-	}
-	// Terminating the instance auto-detaches.
-	if err := p.Terminate(in); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := v.Attached(); ok {
-		t.Error("volume still attached after instance termination")
-	}
-	if err := p.DeleteVolume(v); err != nil {
-		t.Fatal(err)
-	}
-	if p.Volume(v.ID()) != nil {
-		t.Error("deleted volume still present")
-	}
-}
-
-func TestVolumeAttachToDeadInstance(t *testing.T) {
-	eng, p := newTestProvider(t)
-	in, _ := p.RequestOnDemand(mSmall, Callbacks{})
-	eng.RunUntil(200)
-	_ = p.Terminate(in)
-	v, _ := p.CreateVolume("us-east-1a", 10)
-	if err := p.AttachVolume(v, in, nil); err == nil {
-		t.Fatal("attach to terminated instance accepted")
-	}
-}
-
 func TestStartupClass(t *testing.T) {
 	cases := map[market.Region]string{
 		"us-east-1a": "us-east-1",
@@ -410,7 +347,7 @@ func TestLedgerConsistency(t *testing.T) {
 	if math.Abs(sum-p.Ledger().Total()) > 1e-9 {
 		t.Fatalf("ledger total %v != entry sum %v", p.Ledger().Total(), sum)
 	}
-	if math.Abs(p.Ledger().SpotTotal()+p.Ledger().OnDemandTotal()-p.Ledger().Total()) > 1e-9 {
+	if spot, od := splitTotals(p.Ledger()); math.Abs(spot+od-p.Ledger().Total()) > 1e-9 {
 		t.Fatal("spot+on-demand != total")
 	}
 	if p.Ledger().Total() <= 0 {

@@ -31,6 +31,12 @@ func TestProviderRandomWorkload(t *testing.T) {
 
 	ids := set.IDs()
 	var mine []*Instance
+	runningAt := map[InstanceID]sim.Time{}
+	terminatedAt := map[InstanceID]sim.Time{}
+	cb := Callbacks{
+		OnRunning:    func(in *Instance) { runningAt[in.ID()] = eng.Now() },
+		OnTerminated: func(in *Instance, _ TerminationReason) { terminatedAt[in.ID()] = eng.Now() },
+	}
 	launch := func() {
 		id := ids[rng.Intn(len(ids))]
 		od := prov.OnDemandPrice(id)
@@ -38,9 +44,9 @@ func TestProviderRandomWorkload(t *testing.T) {
 		var err error
 		if rng.Bernoulli(0.6) {
 			bid := od * rng.Uniform(0.5, 4)
-			in, err = prov.RequestSpot(id, bid, Callbacks{})
+			in, err = prov.RequestSpot(id, bid, cb)
 		} else {
-			in, err = prov.RequestOnDemand(id, Callbacks{})
+			in, err = prov.RequestOnDemand(id, cb)
 		}
 		if err == nil {
 			mine = append(mine, in)
@@ -77,7 +83,7 @@ func TestProviderRandomWorkload(t *testing.T) {
 		t.Fatalf("instance sum %v != ledger %v", sum, prov.Ledger().Total())
 	}
 	// Invariant 2: per-instance ledger agrees with Charged().
-	byInst := prov.Ledger().ByInstance()
+	byInst := byInstance(prov.Ledger())
 	for _, in := range mine {
 		if got := byInst[in.ID()]; math.Abs(got-in.Charged()) > 1e-9 {
 			t.Fatalf("%v: ledger %v vs charged %v", in, got, in.Charged())
@@ -97,7 +103,7 @@ func TestProviderRandomWorkload(t *testing.T) {
 	}
 	for _, in := range mine {
 		if in.State() == Terminated && in.Reason() == ReasonRevoked {
-			elapsed := in.TerminatedAt() - in.RunningAt()
+			elapsed := terminatedAt[in.ID()] - runningAt[in.ID()]
 			onBoundary := math.Mod(elapsed, sim.Hour) < 1e-6
 			if !onBoundary && !refundsByInstance[in.ID()] && in.Charged() > 0 {
 				t.Fatalf("%v revoked mid-hour without refund", in)

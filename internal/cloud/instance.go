@@ -104,9 +104,7 @@ type Instance struct {
 	bid       float64 // spot only; 0 for on-demand
 
 	state        State
-	requestedAt  sim.Time
 	runningAt    sim.Time
-	terminatedAt sim.Time
 	warnDeadline sim.Time
 	reason       TerminationReason
 
@@ -119,8 +117,6 @@ type Instance struct {
 	lastHourAt   sim.Time
 	lastHourCost float64
 	charged      float64
-
-	revocationCheckDone bool // guards double warnings
 }
 
 // ID returns the instance identifier.
@@ -143,19 +139,6 @@ func (in *Instance) Bid() float64 { return in.bid }
 
 // State returns the current lifecycle state.
 func (in *Instance) State() State { return in.state }
-
-// RequestedAt returns when the instance was requested.
-func (in *Instance) RequestedAt() sim.Time { return in.requestedAt }
-
-// RunningAt returns when the instance booted (meaningful once Running).
-func (in *Instance) RunningAt() sim.Time { return in.runningAt }
-
-// TerminatedAt returns when the instance terminated (meaningful once
-// Terminated).
-func (in *Instance) TerminatedAt() sim.Time { return in.terminatedAt }
-
-// WarnDeadline returns the revocation deadline (meaningful once Revoking).
-func (in *Instance) WarnDeadline() sim.Time { return in.warnDeadline }
 
 // Reason returns the termination reason (meaningful once Terminated).
 func (in *Instance) Reason() TerminationReason { return in.reason }

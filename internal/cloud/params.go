@@ -1,7 +1,7 @@
 // Package cloud simulates an EC2-like infrastructure cloud: spot and
 // on-demand instance lifecycles, bid-indexed revocation with a two-minute
-// grace warning, sampled allocation latencies, hourly billing with the
-// 2015 EC2 partial-hour rules, and network-attached (EBS-like) volumes.
+// grace warning, sampled allocation latencies, and hourly billing with the
+// 2015 EC2 partial-hour rules.
 //
 // The provider is driven by a sim.Engine and a market.Set of price traces;
 // everything the paper's cloud scheduler can observe on real EC2 — prices,
@@ -33,10 +33,6 @@ type Params struct {
 	SpotStartupMean     map[string]sim.Duration
 	StartupCV           float64
 
-	// VolumeAttach is the latency of attaching a network volume to an
-	// instance in the same region.
-	VolumeAttach sim.Duration
-
 	Seed int64
 }
 
@@ -63,9 +59,8 @@ func DefaultParams(seed int64) Params {
 			"eu-west-1":         233.37,
 			DefaultStartupClass: 240,
 		},
-		StartupCV:    0.25,
-		VolumeAttach: 5,
-		Seed:         seed,
+		StartupCV: 0.25,
+		Seed:      seed,
 	}
 }
 

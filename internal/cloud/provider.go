@@ -36,12 +36,6 @@ type Provider struct {
 
 	priceSubs map[market.ID][]func(t sim.Time, price float64)
 
-	nextVolumeID VolumeID
-	volumes      map[VolumeID]*Volume
-
-	nextSpotReqID    SpotRequestID
-	spotRequestsOpen map[SpotRequestID]*SpotRequest
-
 	// Counters for reports and tests.
 	revocations   int
 	spotRequests  int
@@ -56,16 +50,14 @@ type Provider struct {
 // time 0.
 func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
 	p := &Provider{
-		eng:              eng,
-		set:              set,
-		params:           params,
-		rng:              randx.Derive(params.Seed, "cloud/provider"),
-		markets:          map[market.ID]*marketState{},
-		instances:        map[InstanceID]*Instance{},
-		byMarket:         map[market.ID]map[InstanceID]*Instance{},
-		priceSubs:        map[market.ID][]func(sim.Time, float64){},
-		volumes:          map[VolumeID]*Volume{},
-		spotRequestsOpen: map[SpotRequestID]*SpotRequest{},
+		eng:       eng,
+		set:       set,
+		params:    params,
+		rng:       randx.Derive(params.Seed, "cloud/provider"),
+		markets:   map[market.ID]*marketState{},
+		instances: map[InstanceID]*Instance{},
+		byMarket:  map[market.ID]map[InstanceID]*Instance{},
+		priceSubs: map[market.ID][]func(sim.Time, float64){},
 	}
 	for _, id := range set.IDs() {
 		ms := &marketState{p: p, id: id, cursor: market.NewCursor(set.Trace(id))}
@@ -224,13 +216,12 @@ func (p *Provider) RequestOnDemand(id market.ID, cb Callbacks) (*Instance, error
 
 func (p *Provider) newInstance(id market.ID, lc Lifecycle, bid float64, cb Callbacks) *Instance {
 	in := &Instance{
-		id:          p.nextID,
-		market:      id,
-		lifecycle:   lc,
-		bid:         bid,
-		state:       Pending,
-		requestedAt: p.eng.Now(),
-		cb:          cb,
+		id:        p.nextID,
+		market:    id,
+		lifecycle: lc,
+		bid:       bid,
+		state:     Pending,
+		cb:        cb,
 	}
 	// One persistent billing closure per instance instead of one per
 	// instance-hour.
@@ -367,7 +358,6 @@ func (p *Provider) Terminate(in *Instance) error {
 
 func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 	in.state = Terminated
-	in.terminatedAt = p.eng.Now()
 	in.reason = reason
 	if in.hourEvent != nil {
 		p.eng.Cancel(in.hourEvent)
@@ -375,12 +365,6 @@ func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 	}
 	if in.lifecycle == Spot {
 		delete(p.byMarket[in.market], in.id)
-	}
-	// Detach any volumes still attached.
-	for _, v := range p.volumes {
-		if v.attachedTo == in.id {
-			v.attachedTo = -1
-		}
 	}
 	if in.cb.OnTerminated != nil {
 		in.cb.OnTerminated(in, reason)

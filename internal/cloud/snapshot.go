@@ -17,9 +17,7 @@ type instSnap struct {
 	lifecycle    Lifecycle
 	bid          float64
 	state        State
-	requestedAt  sim.Time
 	runningAt    sim.Time
-	terminatedAt sim.Time
 	warnDeadline sim.Time
 	reason       TerminationReason
 	lastHourAt   sim.Time
@@ -41,8 +39,6 @@ type Snapshot struct {
 
 	ledgerEntries []Charge
 	ledgerTotal   float64
-	ledgerSpot    float64
-	ledgerOD      float64
 
 	counters Counters
 }
@@ -51,21 +47,16 @@ type Snapshot struct {
 func (s *Snapshot) At() sim.Time { return s.at }
 
 // Snapshot captures the provider's state if it is quiescent: no allocation
-// in flight (Pending), no revocation mid-grace (Revoking), no open spot
-// requests, and no network volumes. Those transients hold one-shot event
-// closures that cannot be re-derived from model state, so a provider in
-// such a state reports ok=false and the caller skips this checkpoint.
+// in flight (Pending) and no revocation mid-grace (Revoking). Those
+// transients hold one-shot event closures that cannot be re-derived from
+// model state, so a provider in such a state reports ok=false and the
+// caller skips this checkpoint.
 func (p *Provider) Snapshot() (*Snapshot, bool) {
-	if len(p.spotRequestsOpen) != 0 || len(p.volumes) != 0 {
-		return nil, false
-	}
 	s := &Snapshot{
 		at:          p.eng.Now(),
 		rng:         p.rng.State(),
 		nextID:      p.nextID,
 		ledgerTotal: p.ledger.total,
-		ledgerSpot:  p.ledger.spotTotal,
-		ledgerOD:    p.ledger.onDemandTotal,
 		counters:    p.Counters(),
 	}
 	// Instance IDs are dense from 0, so this order is deterministic.
@@ -84,9 +75,7 @@ func (p *Provider) Snapshot() (*Snapshot, bool) {
 			lifecycle:    in.lifecycle,
 			bid:          in.bid,
 			state:        in.state,
-			requestedAt:  in.requestedAt,
 			runningAt:    in.runningAt,
-			terminatedAt: in.terminatedAt,
 			warnDeadline: in.warnDeadline,
 			reason:       in.reason,
 			lastHourAt:   in.lastHourAt,
@@ -119,10 +108,8 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 	p.odLaunched = s.counters.OnDemandLaunch
 	p.userTerminate = s.counters.UserTerminating
 	p.ledger = Ledger{
-		entries:       append([]Charge(nil), s.ledgerEntries...),
-		total:         s.ledgerTotal,
-		spotTotal:     s.ledgerSpot,
-		onDemandTotal: s.ledgerOD,
+		entries: append([]Charge(nil), s.ledgerEntries...),
+		total:   s.ledgerTotal,
 	}
 	for _, si := range s.insts {
 		in := &Instance{
@@ -131,9 +118,7 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 			lifecycle:    si.lifecycle,
 			bid:          si.bid,
 			state:        si.state,
-			requestedAt:  si.requestedAt,
 			runningAt:    si.runningAt,
-			terminatedAt: si.terminatedAt,
 			warnDeadline: si.warnDeadline,
 			reason:       si.reason,
 			lastHourAt:   si.lastHourAt,

@@ -10,7 +10,6 @@ import (
 	"spothost/internal/obs"
 	"spothost/internal/runpool"
 	"spothost/internal/sim"
-	"spothost/internal/tpcw"
 	"spothost/internal/trace"
 )
 
@@ -35,10 +34,7 @@ const (
 // Fleet call (and every parallel cell); its mutex-guarded memo keeps
 // lookups deterministic regardless of call order.
 var fleetPlanner = sync.OnceValues(func() (*fleet.TPCWPlanner, error) {
-	cfg := tpcw.DefaultConfig(1, false, true, 0)
-	cfg.Duration = 600
-	cfg.Warmup = 120
-	return fleet.NewTPCWPlanner(cfg, fleetTargetMs, fleetMaxReplicas, fleetPlanQuantum)
+	return fleet.NewTPCWPlanner(fleetTargetMs, fleetMaxReplicas, fleetPlanQuantum, 0)
 })
 
 // fleetMarkets restricts the fleet to the "small" market of every

@@ -51,24 +51,21 @@ type TPCWPlanner struct {
 	memo map[int]int
 }
 
-// NewTPCWPlanner builds a planner over the base workload config (EBs is
-// overridden per lookup). quantum is the load grid in EBs; a non-positive
-// value means 8.
-func NewTPCWPlanner(cfg tpcw.Config, targetMs float64, maxReplicas int, quantum float64) (*TPCWPlanner, error) {
+// NewTPCWPlanner builds a planner over the paper's CPU-bound ordering mix
+// on nested VMs (tpcw.DefaultConfig; EBs is overridden per lookup) with a
+// shortened measurement window: the planner runs the queueing model many
+// times, and capacity plans are insensitive to window length beyond a few
+// hundred seconds. quantum is the load grid in EBs.
+func NewTPCWPlanner(targetMs float64, maxReplicas int, quantum float64, seed int64) (*TPCWPlanner, error) {
 	if targetMs <= 0 {
 		return nil, fmt.Errorf("fleet: response-time target must be positive, got %v", targetMs)
 	}
-	if maxReplicas <= 0 {
-		return nil, fmt.Errorf("fleet: maxReplicas must be positive")
+	if maxReplicas <= 0 || quantum <= 0 {
+		return nil, fmt.Errorf("fleet: maxReplicas and quantum must be positive")
 	}
-	if quantum <= 0 {
-		quantum = 8
-	}
-	probe := cfg
-	probe.EBs = 1
-	if err := probe.Validate(); err != nil {
-		return nil, err
-	}
+	cfg := tpcw.DefaultConfig(1, false, true, seed)
+	cfg.Duration = 600
+	cfg.Warmup = 120
 	return &TPCWPlanner{
 		cfg:         cfg,
 		targetMs:    targetMs,
@@ -76,18 +73,6 @@ func NewTPCWPlanner(cfg tpcw.Config, targetMs float64, maxReplicas int, quantum 
 		quantum:     quantum,
 		memo:        map[int]int{},
 	}, nil
-}
-
-// DefaultTPCWPlanner returns the planner used by the Fleet experiment: the
-// paper's CPU-bound ordering mix on nested VMs, sized for a 250 ms mean
-// response-time target, with a shortened measurement window (the planner
-// runs the queueing model many times, and capacity plans are insensitive
-// to window length beyond a few hundred seconds).
-func DefaultTPCWPlanner(maxReplicas int, seed int64) (*TPCWPlanner, error) {
-	cfg := tpcw.DefaultConfig(1, false, true, seed)
-	cfg.Duration = 600
-	cfg.Warmup = 120
-	return NewTPCWPlanner(cfg, 250, maxReplicas, 8)
 }
 
 // Replicas implements Planner: the plan for the load rounded up to the

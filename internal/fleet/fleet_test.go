@@ -263,7 +263,7 @@ func TestDiurnalDemand(t *testing.T) {
 }
 
 func TestTPCWPlannerMonotoneAndMemoized(t *testing.T) {
-	p, err := DefaultTPCWPlanner(32, 1)
+	p, err := NewTPCWPlanner(250, 32, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

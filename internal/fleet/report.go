@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"sort"
 
 	"spothost/internal/market"
 	"spothost/internal/sim"
@@ -221,22 +220,4 @@ func Average(reports []Report) Report {
 	avg.ScaleDowns = round(scaleDowns)
 	avg.PeakTarget = round(peak)
 	return avg
-}
-
-// TopMarkets returns the markets by total occupancy seconds, descending,
-// ties broken by ID — for rendering occupancy tables deterministically.
-func (r Report) TopMarkets() []market.ID {
-	ids := make([]market.ID, 0, len(r.MarketSeconds))
-	for id := range r.MarketSeconds {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := r.MarketSeconds[ids[i]], r.MarketSeconds[ids[j]]
-		ta, tb := a.SpotSeconds+a.OnDemandSeconds, b.SpotSeconds+b.OnDemandSeconds
-		if ta != tb {
-			return ta > tb
-		}
-		return ids[i].String() < ids[j].String()
-	})
-	return ids
 }

@@ -2,12 +2,10 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 
 	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/obs"
-	"spothost/internal/runpool"
 	"spothost/internal/sim"
 	"spothost/internal/trace"
 )
@@ -24,24 +22,17 @@ func Run(set *market.Set, cloudParams cloud.Params, cfg Config, horizon sim.Dura
 // as it is canceled, discarding the partial report.
 func RunCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params,
 	cfg Config, horizon sim.Duration) (Report, error) {
-	return RunTracedCtx(ctx, set, cloudParams, cfg, horizon, nil)
+	return RunObsCtx(ctx, set, cloudParams, cfg, horizon, nil, nil)
 }
 
-// RunTracedCtx is RunCtx with a trace recorder attached to the run's
-// engine: replica launches, revocation warnings and losses record into it,
-// one track per market (revocation clustering is visible as a burst of
-// loss instants in one lane). A nil recorder traces nothing at no cost.
-// It is one maximal Step of a Sim; the control plane drives the same
-// machinery in bounded slices instead.
-func RunTracedCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params,
-	cfg Config, horizon sim.Duration, rec *trace.Recorder) (Report, error) {
-	return RunObsCtx(ctx, set, cloudParams, cfg, horizon, rec, nil)
-}
-
-// RunObsCtx is RunTracedCtx with a telemetry recorder attached as well:
-// capacity/cost timelines, the decision ledger and SLO alerting record
-// into it (finalized at the horizon). Either recorder may be nil
-// independently at no cost.
+// RunObsCtx is RunCtx with recorders attached to the run's engine, either
+// of which may be nil independently at no cost. The trace recorder gets
+// replica launches, revocation warnings and losses, one track per market
+// (revocation clustering is visible as a burst of loss instants in one
+// lane). The telemetry recorder gets capacity/cost timelines, the
+// decision ledger and SLO alerting (finalized at the horizon). It is one
+// maximal Step of a Sim; the control plane drives the same machinery in
+// bounded slices instead.
 func RunObsCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params,
 	cfg Config, horizon sim.Duration, rec *trace.Recorder, ob *obs.Recorder) (Report, error) {
 
@@ -53,38 +44,4 @@ func RunObsCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params,
 		return Report{}, err
 	}
 	return s.Report(), nil
-}
-
-// RunSeeds runs the same fleet configuration against synthetic universes
-// for each seed and returns the per-seed reports in seed order, one
-// worker per CPU (see RunSeedsParallelCtx).
-func RunSeeds(mcfg market.Config, cloudParams cloud.Params, cfg Config,
-	horizon sim.Duration, seeds []int64) ([]Report, error) {
-	return RunSeedsParallelCtx(context.Background(), mcfg, cloudParams, cfg, horizon, seeds, 0)
-}
-
-// RunSeedsParallelCtx fans the seeds over a bounded runpool (workers <= 0
-// means one per CPU). Each run is an independent single-threaded
-// simulation; universes come from the process-wide market.SharedCache and
-// results are collected in seed order, so the reports are byte-identical
-// for any worker count. Canceling ctx (or any seed failing) cancels every
-// in-flight simulation.
-func RunSeedsParallelCtx(ctx context.Context, mcfg market.Config, cloudParams cloud.Params,
-	cfg Config, horizon sim.Duration, seeds []int64, workers int) ([]Report, error) {
-
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("fleet: no seeds")
-	}
-	cache := market.SharedCache()
-	return runpool.MapCtx(ctx, workers, seeds, func(ctx context.Context, _ int, seed int64) (Report, error) {
-		mc := mcfg
-		mc.Seed = seed
-		set, err := cache.Generate(mc)
-		if err != nil {
-			return Report{}, err
-		}
-		cp := cloudParams
-		cp.Seed = seed
-		return RunCtx(ctx, set, cp, cfg, horizon)
-	})
 }

@@ -43,13 +43,6 @@ func (c Candidate) eff() float64 {
 	return c.Spot
 }
 
-// EffectivePrice is the exported view of the ranking key strategies
-// compare: the current spot price normalized per capacity unit (raw when
-// the candidate carries no size information). Custom Strategy
-// implementations should rank by it rather than Spot so mixed-size
-// catalogs compare fairly.
-func (c Candidate) EffectivePrice() float64 { return c.eff() }
-
 // Strategy chooses the spot market for the next replica. Implementations
 // must be deterministic pure functions of their inputs: the controller
 // relies on that for byte-identical parallel-vs-serial experiment output.

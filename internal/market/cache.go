@@ -16,8 +16,7 @@ import (
 // the rest block until it is ready.
 //
 // Entries are retained for the life of the cache; an evaluation touches a
-// few dozen universes at a few MB each. Call Purge to drop them all (e.g.
-// between unrelated sweeps in a long-lived process).
+// few dozen universes at a few MB each.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -89,16 +88,8 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Universes: len(c.entries)}
 }
 
-// Purge drops every cached universe and resets the counters.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]*cacheEntry{}
-	c.hits, c.misses = 0, 0
-}
-
 // sharedCache is the process-wide universe cache used by the simulation
-// harness (sched.RunSeeds, the experiments) by default.
+// harness (sched.RunSeedsTracedCtx, the experiments) by default.
 var sharedCache = NewCache()
 
 // SharedCache returns the process-wide universe cache.

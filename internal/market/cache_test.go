@@ -142,24 +142,6 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCachePurge checks Purge drops entries and resets counters.
-func TestCachePurge(t *testing.T) {
-	c := NewCache()
-	if _, err := c.Generate(smallConfig(5)); err != nil {
-		t.Fatal(err)
-	}
-	c.Purge()
-	if st := c.Stats(); st.Universes != 0 || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("stats after purge = %+v", st)
-	}
-	if _, err := c.Generate(smallConfig(5)); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 1 {
-		t.Fatalf("stats after repopulate = %+v", st)
-	}
-}
-
 // TestSharedCache checks the process-wide cache exists and memoizes.
 func TestSharedCache(t *testing.T) {
 	cfg := smallConfig(99)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
 )
 
 // LedgerSchema versions the decision-ledger record layout. Consumers
@@ -58,19 +57,4 @@ func (d Decision) AppendNDJSON(dst []byte) ([]byte, error) {
 	}
 	dst = append(dst, b...)
 	return append(dst, '\n'), nil
-}
-
-// WriteLedger streams decisions to w as NDJSON.
-func WriteLedger(w io.Writer, ds []Decision) error {
-	var buf []byte
-	for _, d := range ds {
-		var err error
-		if buf, err = d.AppendNDJSON(buf[:0]); err != nil {
-			return err
-		}
-		if _, err = w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }

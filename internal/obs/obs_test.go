@@ -205,14 +205,6 @@ func TestLedgerNDJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(d, back) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, d)
 	}
-
-	var buf bytes.Buffer
-	if err := WriteLedger(&buf, []Decision{d, d, d}); err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 3 {
-		t.Fatalf("WriteLedger emitted %d lines, want 3", n)
-	}
 }
 
 // A full-outage hour against a 99.9% objective burns hundreds of times

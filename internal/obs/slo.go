@@ -2,42 +2,12 @@ package obs
 
 import "sort"
 
-// SLOConfig derives an error budget from an availability objective and
-// alerts when the burn rate over a trailing window exceeds a threshold —
-// the standard multiwindow burn-rate policy, evaluated over simulated
-// time instead of a live metrics store.
-type SLOConfig struct {
-	// Availability is the served/target objective (e.g. 0.999); the
-	// error budget is 1 - Availability. Zero means DefaultAvailability.
-	Availability float64
-	// FastWindow/FastBurn page on sharp budget burn (default 1h at
-	// 14.4x); SlowWindow/SlowBurn ticket on sustained burn (default 6h
-	// at 6x). Windows are simulated seconds.
-	FastWindow, FastBurn float64
-	SlowWindow, SlowBurn float64
-}
-
-// DefaultAvailability is the default served/target objective.
-const DefaultAvailability = 0.999
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Availability <= 0 || c.Availability >= 1 {
-		c.Availability = DefaultAvailability
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 3600
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14.4
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 6 * 3600
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 6
-	}
-	return c
-}
+// sloAvailability is the served/target objective of the SLO policy: the
+// error budget is 1 - sloAvailability. The policy alerts when the burn
+// rate over a trailing window exceeds a threshold — the standard
+// multiwindow burn-rate policy, evaluated over simulated time instead of
+// a live metrics store.
+const sloAvailability float64 = 0.999
 
 // Alert is one upward burn-rate threshold crossing.
 type Alert struct {
@@ -54,16 +24,17 @@ type Alert struct {
 // burning at exactly 1x would exhaust the budget in one objective
 // period. Evaluation is a pure function of the bucketized series, so
 // alerts are deterministic for a given run.
-func evaluateSLO(cfg SLOConfig, shortfall, target *Series, now float64) []Alert {
-	cfg = cfg.withDefaults()
-	budget := 1 - cfg.Availability
+func evaluateSLO(shortfall, target *Series, now float64) []Alert {
+	budget := 1 - sloAvailability
 	var alerts []Alert
+	// Page on sharp budget burn (1h at 14.4x), ticket on sustained burn
+	// (6h at 6x). Widths are simulated seconds.
 	for _, w := range []struct {
 		width, thresh float64
 		sev           string
 	}{
-		{cfg.FastWindow, cfg.FastBurn, "page"},
-		{cfg.SlowWindow, cfg.SlowBurn, "ticket"},
+		{3600, 14.4, "page"},
+		{6 * 3600, 6, "ticket"},
 	} {
 		prev := 0.0
 		for i := 0; i < len(shortfall.b); i++ {

@@ -150,16 +150,6 @@ func (s *Stream) LognormalMeanCV(mean, cv float64) float64 {
 	return s.Lognormal(mu, math.Sqrt(sigma2))
 }
 
-// Pareto returns a Pareto variate with scale xm > 0 and shape alpha > 0.
-// The mean is xm*alpha/(alpha-1) for alpha > 1.
-func (s *Stream) Pareto(xm, alpha float64) float64 {
-	u := s.rng.Float64()
-	for u == 0 {
-		u = s.rng.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // BoundedPareto returns a Pareto variate truncated (by resampling the CDF)
 // to [xm, max].
 func (s *Stream) BoundedPareto(xm, alpha, max float64) float64 {
@@ -173,22 +163,6 @@ func (s *Stream) BoundedPareto(xm, alpha, max float64) float64 {
 	return math.Pow(-(u*h-u*l-h)/(h*l), -1/alpha)
 }
 
-// TruncNormal returns a normal(mean, sd) variate truncated to [lo, hi] by
-// rejection, falling back to clamping after a bounded number of attempts so
-// it can never loop forever under pathological parameters.
-func (s *Stream) TruncNormal(mean, sd, lo, hi float64) float64 {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for i := 0; i < 64; i++ {
-		v := mean + sd*s.rng.NormFloat64()
-		if v >= lo && v <= hi {
-			return v
-		}
-	}
-	return math.Min(hi, math.Max(lo, mean))
-}
-
 // Uniform returns a uniform variate in [lo, hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.rng.Float64()
@@ -197,13 +171,4 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool {
 	return s.rng.Float64() < p
-}
-
-// Empirical samples uniformly from a fixed set of observed values. It is
-// used to replay measured latency samples. An empty set yields 0.
-func (s *Stream) Empirical(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	return values[s.rng.Intn(len(values))]
 }

@@ -14,19 +14,14 @@ func TestMapCtxMatchesMap(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	sq := func(i, v int) (int, error) { return v * v, nil }
-	want, err := Map(4, items, sq)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := MapCtx(context.Background(), 4, items,
-		func(_ context.Context, i, v int) (int, error) { return sq(i, v) })
+		func(_ context.Context, i, v int) (int, error) { return v * v, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("result %d: Map=%d MapCtx=%d", i, want[i], got[i])
+	for i, v := range items {
+		if got[i] != v*v {
+			t.Fatalf("result %d: serial=%d MapCtx=%d", i, v*v, got[i])
 		}
 	}
 }

@@ -123,34 +123,22 @@ func (p *Pool[R]) Wait() ([]R, error) {
 	return results, nil
 }
 
-// Map runs fn over every item with at most workers tasks in flight
+// MapCtx runs fn over every item with at most workers tasks in flight
 // (workers <= 0 means DefaultWorkers) and returns the results in item
-// order. On failure it returns the error of the lowest-indexed failing
-// item, making the error deterministic across worker counts. Every item
-// runs to completion even after another item fails; use MapCtx when
-// failures (or the caller) should abort remaining work.
-func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	p := New[R](workers)
-	for i, item := range items {
-		p.Submit(func() (R, error) { return fn(i, item) })
-	}
-	return p.Wait()
-}
-
-// MapCtx is Map with cancellation: fn receives a context that is canceled
-// as soon as any item fails, any item panics, or the caller's ctx is done.
-// Items that have not started yet are then skipped (their slot reports the
-// context's error), and a well-behaved fn — one that polls its context,
-// like a sim.Engine run — returns early, so the first failure or a caller
-// cancel drains the pool promptly instead of finishing the whole grid.
+// order. fn receives a context that is canceled as soon as any item
+// fails, any item panics, or the caller's ctx is done. Items that have not
+// started yet are then skipped (their slot reports the context's error),
+// and a well-behaved fn — one that polls its context, like a sim.Engine
+// run — returns early, so the first failure or a caller cancel drains the
+// pool promptly instead of finishing the whole grid.
 //
-// With a background context and no failures, MapCtx is observationally
-// identical to Map: same results, same order, at any worker count. On
-// failure it prefers the lowest-indexed error that is not itself a
-// cancellation (the root cause rather than collateral ctx.Err()s); when
-// every recorded error is a cancellation it returns the caller context's
-// error if set, else the lowest-indexed failure, matching Map's
-// deterministic error rule as closely as an aborted run allows.
+// With a background context and no failures, the results are the same at
+// any worker count. On failure it prefers the lowest-indexed error that is
+// not itself a cancellation (the root cause rather than collateral
+// ctx.Err()s), so the reported error does not depend on which task failed
+// first on the clock; when every recorded error is a cancellation it
+// returns the caller context's error if set, else the lowest-indexed
+// failure.
 func MapCtx[T, R any](ctx context.Context, workers int, items []T,
 	fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 

@@ -1,6 +1,7 @@
 package runpool
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,13 @@ import (
 	"testing"
 	"time"
 )
+
+// mapBg is MapCtx under a background context with a context-free fn.
+func mapBg[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
+	return MapCtx(context.Background(), workers, items, func(_ context.Context, i int, item T) (R, error) {
+		return fn(i, item)
+	})
+}
 
 // TestMapOrdering checks results come back in submission order even when
 // tasks finish out of order.
@@ -24,7 +32,7 @@ func TestMapOrdering(t *testing.T) {
 		for i := range delays {
 			delays[i] = time.Duration(rng.Intn(3)) * time.Millisecond
 		}
-		got, err := Map(workers, items, func(i, v int) (int, error) {
+		got, err := mapBg(workers, items, func(i, v int) (int, error) {
 			time.Sleep(delays[i])
 			return v * v, nil
 		})
@@ -43,7 +51,7 @@ func TestMapOrdering(t *testing.T) {
 // failure, not whichever failed first on the wall clock.
 func TestMapFirstError(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	_, err := Map(4, items, func(i, v int) (int, error) {
+	_, err := mapBg(4, items, func(i, v int) (int, error) {
 		switch i {
 		case 2:
 			// The higher-indexed failure finishes first.
@@ -62,7 +70,7 @@ func TestMapFirstError(t *testing.T) {
 // TestMapPanicSafety checks a panicking task surfaces as *PanicError
 // instead of crashing the process.
 func TestMapPanicSafety(t *testing.T) {
-	_, err := Map(2, []int{0, 1, 2}, func(i, v int) (int, error) {
+	_, err := mapBg(2, []int{0, 1, 2}, func(i, v int) (int, error) {
 		if i == 1 {
 			panic("boom")
 		}
@@ -85,7 +93,7 @@ func TestMapPanicSafety(t *testing.T) {
 func TestBoundedConcurrency(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		var inFlight, peak int32
-		_, err := Map(workers, make([]struct{}, 32), func(i int, _ struct{}) (int, error) {
+		_, err := mapBg(workers, make([]struct{}, 32), func(i int, _ struct{}) (int, error) {
 			n := atomic.AddInt32(&inFlight, 1)
 			for {
 				p := atomic.LoadInt32(&peak)
@@ -112,7 +120,7 @@ func TestDefaultWorkers(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
 	}
-	got, err := Map(0, []int{1, 2, 3}, func(_, v int) (int, error) { return v + 1, nil })
+	got, err := mapBg(0, []int{1, 2, 3}, func(_, v int) (int, error) { return v + 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +131,7 @@ func TestDefaultWorkers(t *testing.T) {
 
 // TestMapEmpty checks an empty item list returns immediately.
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(4, nil, func(_ int, _ string) (string, error) { return "", nil })
+	got, err := mapBg(4, nil, func(_ int, _ string) (string, error) { return "", nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -153,7 +161,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		for i := range items {
 			items[i] = i
 		}
-		got, err := Map(workers, items, func(i, v int) (int, error) {
+		got, err := mapBg(workers, items, func(i, v int) (int, error) {
 			return v*31 + i, nil
 		})
 		if err != nil {

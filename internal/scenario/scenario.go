@@ -34,7 +34,6 @@ import (
 	"spothost/internal/replay"
 	"spothost/internal/sched"
 	"spothost/internal/sim"
-	"spothost/internal/tpcw"
 	"spothost/internal/trace"
 	"spothost/internal/vm"
 )
@@ -501,10 +500,7 @@ func (f FleetDef) config(horizon sim.Duration, seed int64) (fleet.Config, error)
 		if max <= 0 {
 			max = fleet.DefaultMaxReplicas
 		}
-		tcfg := tpcw.DefaultConfig(1, false, true, seed)
-		tcfg.Duration = 600
-		tcfg.Warmup = 120
-		planner, err := fleet.NewTPCWPlanner(tcfg, f.TargetMs, max, scenarioPlanQuantum)
+		planner, err := fleet.NewTPCWPlanner(f.TargetMs, max, scenarioPlanQuantum, seed)
 		if err != nil {
 			return fleet.Config{}, err
 		}
@@ -625,7 +621,7 @@ func (sc Scenario) RunTracedCtx(ctx context.Context, col *trace.Collector) (Resu
 			return Result{}, fmt.Errorf("scenario: fleet %q: %w", fd.Name, err)
 		}
 		frec := col.Run(fd.Name)
-		rep, err := fleet.RunTracedCtx(ctx, set, cp, cfg, horizon, frec)
+		rep, err := fleet.RunObsCtx(ctx, set, cp, cfg, horizon, frec, nil)
 		if err != nil {
 			return Result{}, fmt.Errorf("scenario: fleet %q: %w", fd.Name, err)
 		}

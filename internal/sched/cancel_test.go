@@ -53,8 +53,8 @@ func TestRunSeedsParallelCtxPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunSeedsParallelCtx(ctx, mcfg, cloud.DefaultParams(0), cfg,
-		30*sim.Day, []int64{1, 2, 3, 4}, 2)
+	_, err = RunSeedsTracedCtx(ctx, mcfg, cloud.DefaultParams(0), cfg,
+		30*sim.Day, []int64{1, 2, 3, 4}, 2, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -74,9 +74,6 @@ type ServiceSpec struct {
 	Count int
 }
 
-// TotalUnits returns the service's total capacity demand.
-func (s ServiceSpec) TotalUnits() int { return s.VM.Units * s.Count }
-
 // Config configures one scheduler run.
 type Config struct {
 	// Service to host.
@@ -110,10 +107,6 @@ type Config struct {
 	// required before a voluntary move to another market (prevents
 	// thrashing between near-equal markets).
 	Hysteresis float64
-
-	// DecisionSlack pads the migration lead time before a billing-hour
-	// boundary.
-	DecisionSlack sim.Duration
 
 	// StabilityPenalty is the lambda of stability-aware bidding (the
 	// paper's stated future work): candidate spot markets are ranked by
@@ -156,7 +149,6 @@ func DefaultConfig(home market.ID, types []market.TypeSpec) (Config, error) {
 		Mechanism:          vm.CKPTLazyLive,
 		VMParams:           vm.DefaultParams(),
 		Hysteresis:         0.05,
-		DecisionSlack:      30,
 		VolatilityHalflife: 12 * sim.Hour,
 		Types:              types,
 	}, nil

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,12 +23,12 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 	mcfg.Horizon = 4 * sim.Day
 	seeds := []int64{3, 5, 8, 13, 21}
 
-	serial, err := RunSeedsParallel(mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, 1)
+	serial, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, len(seeds), 2 * len(seeds)} {
-		parallel, err := RunSeedsParallel(mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, workers)
+		parallel, err := RunSeedsTracedCtx(context.Background(), mcfg, cloud.DefaultParams(0), cfg, 4*sim.Day, seeds, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,26 +160,6 @@ func (p *Portfolio) Events(name string) ([]Event, error) {
 	return s.Events(), nil
 }
 
-// EventLogs returns every service's event log keyed by name — the
-// portfolio-wide occupancy record that Report/Reports (scalar summaries)
-// previously made impossible to recover after a run.
-func (p *Portfolio) EventLogs() map[string][]Event {
-	out := make(map[string][]Event, len(p.scheds))
-	for name, s := range p.scheds {
-		out[name] = s.Events()
-	}
-	return out
-}
-
-// Reports returns every service's report keyed by name.
-func (p *Portfolio) Reports() map[string]metrics.Report {
-	out := make(map[string]metrics.Report, len(p.scheds))
-	for name, s := range p.scheds {
-		out[name] = s.Report()
-	}
-	return out
-}
-
 // Totals is the consolidated portfolio outcome.
 type Totals struct {
 	Services int

@@ -59,37 +59,25 @@ func RunTracedCtx(ctx context.Context, set *market.Set, cloudParams cloud.Params
 // each seed and returns the per-seed reports in seed order. The market
 // config's Seed field is overridden per run. Runs execute in parallel
 // with one worker per CPU; results are identical to a serial run (see
-// RunSeedsParallel).
+// RunSeedsTracedCtx).
 func RunSeeds(mcfg market.Config, cloudParams cloud.Params, cfg Config,
 	horizon sim.Duration, seeds []int64) ([]metrics.Report, error) {
-	return RunSeedsParallel(mcfg, cloudParams, cfg, horizon, seeds, 0)
+	return RunSeedsTracedCtx(context.Background(), mcfg, cloudParams, cfg, horizon, seeds, 0, nil)
 }
 
-// RunSeedsParallel is RunSeeds with an explicit bound on the number of
-// runs in flight (workers <= 0 means one per CPU). Each run is an
-// independent single-threaded simulation; parallelism is strictly across
-// runs, results are collected in seed order, and universes come from the
-// process-wide market.SharedCache, so the reports are byte-identical for
-// any worker count.
-func RunSeedsParallel(mcfg market.Config, cloudParams cloud.Params, cfg Config,
-	horizon sim.Duration, seeds []int64, workers int) ([]metrics.Report, error) {
-	return RunSeedsParallelCtx(context.Background(), mcfg, cloudParams, cfg, horizon, seeds, workers)
-}
-
-// RunSeedsParallelCtx is RunSeedsParallel under a context: canceling ctx
-// (or any seed failing) cancels every in-flight seed simulation via
-// runpool.MapCtx, so the pool's workers free up promptly instead of
-// finishing their month-long runs.
-func RunSeedsParallelCtx(ctx context.Context, mcfg market.Config, cloudParams cloud.Params,
-	cfg Config, horizon sim.Duration, seeds []int64, workers int) ([]metrics.Report, error) {
-	return RunSeedsTracedCtx(ctx, mcfg, cloudParams, cfg, horizon, seeds, workers, nil)
-}
-
-// RunSeedsTracedCtx is RunSeedsParallelCtx with a trace collector: each
-// seed's run records into its own recorder (labeled "seed<N>", scoped by
-// the collector) and hands it back on completion, so concurrent runs never
-// share a recorder. A nil collector mints nil recorders and traces
-// nothing.
+// RunSeedsTracedCtx fans the seeds over a bounded runpool (workers <= 0
+// means one per CPU). Each run is an independent single-threaded
+// simulation; parallelism is strictly across runs, results are collected
+// in seed order, and universes come from the process-wide
+// market.SharedCache, so the reports are byte-identical for any worker
+// count. Canceling ctx (or any seed failing) cancels every in-flight seed
+// simulation via runpool.MapCtx, so the pool's workers free up promptly
+// instead of finishing their month-long runs.
+//
+// With a trace collector, each seed's run records into its own recorder
+// (labeled "seed<N>", scoped by the collector) and hands it back on
+// completion, so concurrent runs never share a recorder. A nil collector
+// mints nil recorders and traces nothing.
 func RunSeedsTracedCtx(ctx context.Context, mcfg market.Config, cloudParams cloud.Params,
 	cfg Config, horizon sim.Duration, seeds []int64, workers int, col *trace.Collector) ([]metrics.Report, error) {
 

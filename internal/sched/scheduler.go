@@ -454,6 +454,10 @@ func (s *Scheduler) setPlacement(p placement) {
 
 // --- voluntary migration decisions ----------------------------------------
 
+// decisionSlack pads the migration lead time before a billing-hour
+// boundary.
+const decisionSlack sim.Duration = 30
+
 // decisionLead estimates how long before a billing boundary the decision
 // must run so a migration can complete by the boundary: worst-case
 // destination startup plus worst-case migration duration plus slack.
@@ -478,7 +482,7 @@ func (s *Scheduler) decisionLead() sim.Duration {
 			worst = tl.Duration
 		}
 	}
-	return startup + worst + float64(s.cfg.DecisionSlack)
+	return startup + worst + float64(decisionSlack)
 }
 
 // scheduleNextDecision arms the placement check before the current group's

@@ -93,54 +93,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestPearsonPerfect(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil || !almost(r, 1, 1e-12) {
-		t.Fatalf("r = %v err = %v", r, err)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, _ = Pearson(xs, neg)
-	if !almost(r, -1, 1e-12) {
-		t.Fatalf("r = %v, want -1", r)
-	}
-}
-
-func TestPearsonConstantSeries(t *testing.T) {
-	r, err := Pearson([]float64{1, 1, 1}, []float64{2, 3, 4})
-	if err != nil || r != 0 {
-		t.Fatalf("constant series should give r=0, got %v, %v", r, err)
-	}
-}
-
-func TestPearsonErrors(t *testing.T) {
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch not detected")
-	}
-	if _, err := Pearson([]float64{1}, []float64{2}); err == nil {
-		t.Fatal("too-short input not detected")
-	}
-}
-
-func TestPearsonRangeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(n uint8) bool {
-		m := int(n%50) + 2
-		xs := make([]float64, m)
-		ys := make([]float64, m)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-			ys[i] = rng.NormFloat64()
-		}
-		r, err := Pearson(xs, ys)
-		return err == nil && r >= -1-1e-9 && r <= 1+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	for _, c := range []struct{ p, want float64 }{
@@ -177,43 +129,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var tw TimeWeighted
-	tw.Start(0, 10)
-	tw.Observe(5, 20) // value 10 held for 5s
-	tw.Observe(15, 0) // value 20 held for 10s
-	got := tw.Finish(20)
-	// (10*5 + 20*10 + 0*5) / 20 = 12.5
-	if !almost(got, 12.5, 1e-12) {
-		t.Fatalf("time-weighted mean = %v", got)
-	}
-}
-
-func TestTimeWeightedAutoStart(t *testing.T) {
-	var tw TimeWeighted
-	tw.Observe(3, 7) // acts as Start
-	if got := tw.Finish(10); !almost(got, 7, 1e-12) {
-		t.Fatalf("auto-start mean = %v", got)
-	}
-}
-
-func TestTimeWeightedOutOfOrderIgnored(t *testing.T) {
-	var tw TimeWeighted
-	tw.Start(10, 1)
-	tw.Observe(5, 99) // in the past: ignored
-	if got := tw.Finish(20); !almost(got, 1, 1e-12) {
-		t.Fatalf("out-of-order observation corrupted mean: %v", got)
-	}
-}
-
-func TestTimeWeightedZeroElapsed(t *testing.T) {
-	var tw TimeWeighted
-	tw.Start(5, 3)
-	if got := tw.Finish(5); got != 3 {
-		t.Fatalf("zero-elapsed mean = %v", got)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
@@ -233,9 +148,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.Count() != 7 {
 		t.Fatalf("count = %d", h.Count())
-	}
-	if !almost(h.Fraction(0), 2.0/7, 1e-12) {
-		t.Fatalf("fraction = %v", h.Fraction(0))
 	}
 }
 
@@ -269,11 +181,8 @@ func TestHistogramOverflowAccessors(t *testing.T) {
 	for _, x := range []float64{-1, -2, 3, 5, 12, 15, 20} {
 		h.Add(x)
 	}
-	if !almost(h.UnderflowFraction(), 2.0/7, 1e-12) {
-		t.Fatalf("underflow fraction = %v", h.UnderflowFraction())
-	}
-	if !almost(h.OverflowFraction(), 3.0/7, 1e-12) {
-		t.Fatalf("overflow fraction = %v", h.OverflowFraction())
+	if h.Underflow != 2 || h.Overflow != 3 || h.Count() != 7 {
+		t.Fatalf("underflow %d overflow %d of %d", h.Underflow, h.Overflow, h.Count())
 	}
 	if !almost(h.Sum(), 52, 1e-12) {
 		t.Fatalf("sum = %v", h.Sum())

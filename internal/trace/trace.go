@@ -165,14 +165,6 @@ func (r *Recorder) Spans() []Span {
 	return r.spans
 }
 
-// Hist returns the recorder's histogram bundle (nil for a nil recorder).
-func (r *Recorder) Hist() *HistSet {
-	if r == nil {
-		return nil
-	}
-	return r.hist
-}
-
 // ObserveDowntime records one unavailability interval, labeled by the
 // migration class that caused it.
 func (r *Recorder) ObserveDowntime(class string, secs float64) {
