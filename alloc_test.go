@@ -44,6 +44,42 @@ func TestSteadyStateRunLoopAllocs(t *testing.T) {
 	}
 }
 
+// TestSteadyStateWatchedLoopAllocs is the same bound with every market's
+// price chain live: the provider arms a chain only for watched markets,
+// so this watches the whole universe and subscribes to one market to keep
+// the price-change path in the measured loop.
+func TestSteadyStateWatchedLoopAllocs(t *testing.T) {
+	mcfg := market.DefaultConfig(1)
+	mcfg.Horizon = 40 * sim.Day
+	set, err := market.Generate(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine()
+	prov := cloud.NewProvider(eng, set, cloud.DefaultParams(1))
+	prov.Watch(set.IDs()...)
+	home := market.ID{Region: "us-east-1a", Type: "small"}
+	changes := 0
+	prov.SubscribePrice(home, func(sim.Time, float64) { changes++ })
+	if _, err := prov.RequestOnDemand(home, cloud.Callbacks{}); err != nil {
+		t.Fatal(err)
+	}
+	horizon := sim.Time(30 * sim.Day)
+	eng.RunUntil(horizon)
+	before, seen := eng.Processed(), changes
+	allocs := testing.AllocsPerRun(5, func() {
+		horizon += sim.Day
+		eng.RunUntil(horizon)
+	})
+	if changes == seen || eng.Processed()-before < 1000 {
+		t.Fatalf("measured loop saw %d home price changes in %d events; the price chains are not live",
+			changes-seen, eng.Processed()-before)
+	}
+	if allocs >= 1 {
+		t.Fatalf("steady-state watched run loop allocated %.2f per simulated day, want < 1", allocs)
+	}
+}
+
 // TestObsOffAllocs pins the telemetry layer's disabled-path contract:
 // with no obs recorder on the engine, the billing hooks (the hottest obs
 // call sites — they fire every simulated hour per instance) must add

@@ -18,23 +18,17 @@ type Provider struct {
 	params Params
 	rng    *randx.Stream
 
-	// markets holds the per-market hot-path state: a monotone trace cursor
-	// (the simulation clock only moves forward) and the persistent price-
-	// event closure, so the steady-state price chain allocates nothing.
+	// markets holds the per-market state: price cursor, price-event chain,
+	// live spot instances and subscribers.
 	markets map[market.ID]*marketState
 
 	nextID    InstanceID
 	instances map[InstanceID]*Instance
-	// byMarket holds the live spot instances per market for revocation
-	// checks on price changes.
-	byMarket map[market.ID]map[InstanceID]*Instance
-	// spotScratch is reused by liveSpot to snapshot a market's live spot
-	// instances without allocating per price change.
+	// spotScratch is reused by onPriceChange to snapshot a market's live
+	// spot instances without allocating per price change.
 	spotScratch []*Instance
 
 	ledger Ledger
-
-	priceSubs map[market.ID][]func(t sim.Time, price float64)
 
 	// Counters for reports and tests.
 	revocations   int
@@ -45,53 +39,89 @@ type Provider struct {
 	userTerminate int
 }
 
-// NewProvider builds a provider over the price set, wiring price-change
-// events into the engine. The provider starts delivering price events from
-// time 0.
+// NewProvider builds a provider over the price set. It arms no price
+// events: a market's price changes enter the engine only once the market is
+// watched (Watch, or implicitly by RequestSpot and SubscribePrice), since a
+// change in a market with no spot instance and no subscriber has no effect.
+// Instead it reserves one engine sequence number per market, in ID order,
+// for the market's first price event, so simultaneous price events fire in
+// the same order whichever markets are watched and in whatever order.
 func NewProvider(eng *sim.Engine, set *market.Set, params Params) *Provider {
+	ids := set.IDs()
 	p := &Provider{
 		eng:       eng,
 		set:       set,
 		params:    params,
 		rng:       randx.Derive(params.Seed, "cloud/provider"),
-		markets:   map[market.ID]*marketState{},
+		markets:   make(map[market.ID]*marketState, len(ids)),
 		instances: map[InstanceID]*Instance{},
-		byMarket:  map[market.ID]map[InstanceID]*Instance{},
-		priceSubs: map[market.ID][]func(sim.Time, float64){},
 	}
-	for _, id := range set.IDs() {
-		ms := &marketState{p: p, id: id, cursor: market.NewCursor(set.Trace(id))}
+	seq0 := eng.Reserve(len(ids))
+	for i, id := range ids {
+		ms := &marketState{id: id, seq: seq0 + uint64(i), cursor: market.NewCursor(set.Trace(id))}
 		ms.stepFn = func() {
-			at, price := ms.nextAt, ms.nextPrice
-			p.onPriceChange(ms.id, price)
-			ms.arm(at)
+			at := ms.nextAt
+			p.onPriceChange(ms, ms.nextPrice)
+			if ms.next(at) {
+				eng.Post(ms.nextAt, ms.stepFn)
+			}
 		}
 		p.markets[id] = ms
-		ms.arm(eng.Now())
 	}
 	return p
 }
 
-// marketState is the per-market hot-path state: a monotone cursor over the
-// trace and one persistent closure that drives the whole price-event chain.
+// marketState is the per-market state: a monotone cursor over the trace
+// (the simulation clock only moves forward), one persistent closure that
+// drives the whole price-event chain once the market is watched, and the
+// parties a price change concerns.
 type marketState struct {
-	p      *Provider
-	id     market.ID
-	cursor *market.Cursor
-	stepFn func()
+	id      market.ID
+	seq     uint64 // engine sequence number reserved for the first price event
+	cursor  *market.Cursor
+	stepFn  func()
+	watched bool
 	// nextAt/nextPrice describe the armed price change stepFn will deliver.
 	nextAt    sim.Time
 	nextPrice float64
+	// spot holds the market's live and pending spot instances in ascending
+	// ID order: IDs only grow, so appending keeps the order.
+	spot []*Instance
+	subs []func(t sim.Time, price float64)
 }
 
-// arm schedules the next price change strictly after the given time.
-func (ms *marketState) arm(after sim.Time) {
+// next loads the first price change strictly after the given time into
+// nextAt/nextPrice, reporting false when the trace has none.
+func (ms *marketState) next(after sim.Time) bool {
 	at, price, ok := ms.cursor.NextChangeAfter(after)
-	if !ok {
+	ms.nextAt, ms.nextPrice = at, price
+	return ok
+}
+
+// Watch starts delivering the price changes of the given markets: from now
+// on each change revokes outbid spot instances and notifies subscribers.
+// Watching is idempotent and lasts for the life of the provider; IDs
+// outside the universe are ignored. A market's first price event carries
+// the sequence number NewProvider reserved for it, so the order in which
+// markets are watched never reorders simultaneous price events. Callers
+// declare their candidate markets at construction; a market first watched
+// mid-run sees every change strictly after the watch instant.
+func (p *Provider) Watch(ids ...market.ID) {
+	for _, id := range ids {
+		if ms := p.markets[id]; ms != nil {
+			p.watch(ms)
+		}
+	}
+}
+
+func (p *Provider) watch(ms *marketState) {
+	if ms.watched {
 		return
 	}
-	ms.nextAt, ms.nextPrice = at, price
-	ms.p.eng.Post(at, ms.stepFn)
+	ms.watched = true
+	if ms.next(p.eng.Now()) {
+		p.eng.PostReserved(ms.nextAt, ms.seq, ms.stepFn)
+	}
 }
 
 // Engine returns the simulation engine driving this provider.
@@ -108,10 +138,7 @@ func (p *Provider) Ledger() *Ledger { return &p.ledger }
 
 // SpotPrice returns the current spot price of a market.
 func (p *Provider) SpotPrice(id market.ID) float64 {
-	if ms := p.markets[id]; ms != nil {
-		return ms.cursor.PriceAt(p.eng.Now())
-	}
-	return p.set.Trace(id).PriceAt(p.eng.Now())
+	return p.markets[id].cursor.PriceAt(p.eng.Now())
 }
 
 // OnDemandPrice returns the fixed on-demand price of a market.
@@ -125,47 +152,37 @@ func (p *Provider) MaxBid(id market.ID) float64 {
 	return p.params.BidCap * p.set.OnDemand(id)
 }
 
-// SubscribePrice registers fn to run on every price change of market id.
-// The subscription lasts for the life of the provider.
+// SubscribePrice registers fn to run on every price change of market id,
+// watching the market. The subscription lasts for the life of the
+// provider; for a market outside the universe fn never runs.
 func (p *Provider) SubscribePrice(id market.ID, fn func(t sim.Time, price float64)) {
-	p.priceSubs[id] = append(p.priceSubs[id], fn)
+	if ms := p.markets[id]; ms != nil {
+		p.watch(ms)
+		ms.subs = append(ms.subs, fn)
+	}
 }
 
-func (p *Provider) onPriceChange(id market.ID, price float64) {
-	now := p.eng.Now()
-	// Revoke or cancel spot instances whose bid the price now exceeds.
-	for _, in := range p.liveSpot(id) {
+func (p *Provider) onPriceChange(ms *marketState, price float64) {
+	// Revoke or cancel spot instances whose bid the price now exceeds. The
+	// callbacks this fires may add or end instances in the market, so once
+	// some bid is exceeded the revocations walk a snapshot of the
+	// population the price change met.
+	for _, in := range ms.spot {
 		if price > in.bid {
-			p.beginRevocation(in)
+			live := append(p.spotScratch[:0], ms.spot...)
+			for _, in := range live {
+				if price > in.bid {
+					p.beginRevocation(in)
+				}
+			}
+			p.spotScratch = live
+			break
 		}
 	}
-	for _, fn := range p.priceSubs[id] {
+	now := p.eng.Now()
+	for _, fn := range ms.subs {
 		fn(now, price)
 	}
-}
-
-// liveSpot snapshots a market's live spot instances in deterministic order
-// (ascending instance ID) into a reused scratch buffer. The result is only
-// valid until the next call; the simulation is single-threaded, so the one
-// caller (onPriceChange) finishes with it before anyone else can ask.
-func (p *Provider) liveSpot(id market.ID) []*Instance {
-	m := p.byMarket[id]
-	if len(m) == 0 {
-		return nil
-	}
-	out := p.spotScratch[:0]
-	for _, in := range m {
-		out = append(out, in)
-	}
-	// Insertion sort: the per-market population is small and this avoids
-	// sort.Slice's closure allocation on every price change.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].id < out[j-1].id; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	p.spotScratch = out
-	return out
 }
 
 // RequestSpot requests a spot instance in market id at the given bid. The
@@ -175,8 +192,8 @@ func (p *Provider) liveSpot(id market.ID) []*Instance {
 // sampled allocation latency unless the price overtakes the bid first, in
 // which case OnTerminated(ReasonNeverGranted) fires instead.
 func (p *Provider) RequestSpot(id market.ID, bid float64, cb Callbacks) (*Instance, error) {
-	tr := p.set.Trace(id)
-	if tr == nil {
+	ms := p.markets[id]
+	if ms == nil {
 		return nil, fmt.Errorf("cloud: unknown market %s", id)
 	}
 	if bid <= 0 {
@@ -185,18 +202,12 @@ func (p *Provider) RequestSpot(id market.ID, bid float64, cb Callbacks) (*Instan
 	if max := p.MaxBid(id); bid > max+1e-12 {
 		return nil, fmt.Errorf("cloud: bid %v exceeds cap %v for %s", bid, max, id)
 	}
-	now := p.eng.Now()
-	var cur float64
-	if ms := p.markets[id]; ms != nil {
-		cur = ms.cursor.PriceAt(now)
-	} else {
-		cur = tr.PriceAt(now)
-	}
-	if cur > bid {
+	if cur := ms.cursor.PriceAt(p.eng.Now()); cur > bid {
 		return nil, fmt.Errorf("cloud: current price %v above bid %v in %s", cur, bid, id)
 	}
 	p.spotRequests++
-	in := p.newInstance(id, Spot, bid, cb)
+	p.watch(ms)
+	in := p.newInstance(ms, Spot, bid, cb)
 	delay := p.rng.LognormalMeanCV(p.params.spotStartup(id.Region), p.params.StartupCV)
 	p.eng.PostAfter(delay, func() { p.finishAllocation(in) })
 	return in, nil
@@ -205,19 +216,21 @@ func (p *Provider) RequestSpot(id market.ID, bid float64, cb Callbacks) (*Instan
 // RequestOnDemand requests a non-revocable on-demand instance. OnRunning
 // fires after the sampled allocation latency.
 func (p *Provider) RequestOnDemand(id market.ID, cb Callbacks) (*Instance, error) {
-	if p.set.Trace(id) == nil {
+	ms := p.markets[id]
+	if ms == nil {
 		return nil, fmt.Errorf("cloud: unknown market %s", id)
 	}
-	in := p.newInstance(id, OnDemand, 0, cb)
+	in := p.newInstance(ms, OnDemand, 0, cb)
 	delay := p.rng.LognormalMeanCV(p.params.onDemandStartup(id.Region), p.params.StartupCV)
 	p.eng.PostAfter(delay, func() { p.finishAllocation(in) })
 	return in, nil
 }
 
-func (p *Provider) newInstance(id market.ID, lc Lifecycle, bid float64, cb Callbacks) *Instance {
+func (p *Provider) newInstance(ms *marketState, lc Lifecycle, bid float64, cb Callbacks) *Instance {
 	in := &Instance{
 		id:        p.nextID,
-		market:    id,
+		market:    ms.id,
+		ms:        ms,
 		lifecycle: lc,
 		bid:       bid,
 		state:     Pending,
@@ -229,10 +242,7 @@ func (p *Provider) newInstance(id market.ID, lc Lifecycle, bid float64, cb Callb
 	p.nextID++
 	p.instances[in.id] = in
 	if lc == Spot {
-		if p.byMarket[id] == nil {
-			p.byMarket[id] = map[InstanceID]*Instance{}
-		}
-		p.byMarket[id][in.id] = in
+		ms.spot = append(ms.spot, in)
 	}
 	return in
 }
@@ -271,11 +281,7 @@ func (p *Provider) chargeHour(in *Instance) {
 	if in.lifecycle == Spot {
 		// "billed on an hourly basis, based on the spot price (not the
 		// bid price) at the beginning of each hour".
-		if ms := p.markets[in.market]; ms != nil {
-			rate = ms.cursor.PriceAt(now)
-		} else {
-			rate = p.set.Trace(in.market).PriceAt(now)
-		}
+		rate = in.ms.cursor.PriceAt(now)
 		class = "spot"
 		rec.ObserveSpotPrice(rate)
 	}
@@ -364,10 +370,24 @@ func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 		in.hourEvent = nil
 	}
 	if in.lifecycle == Spot {
-		delete(p.byMarket[in.market], in.id)
+		in.ms.removeSpot(in)
 	}
 	if in.cb.OnTerminated != nil {
 		in.cb.OnTerminated(in, reason)
+	}
+}
+
+// removeSpot drops an ended spot instance from the market's population,
+// keeping the rest in ID order.
+func (ms *marketState) removeSpot(in *Instance) {
+	for i, x := range ms.spot {
+		if x == in {
+			n := len(ms.spot) - 1
+			copy(ms.spot[i:], ms.spot[i+1:])
+			ms.spot[n] = nil
+			ms.spot = ms.spot[:n]
+			return
+		}
 	}
 }
 

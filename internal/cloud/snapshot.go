@@ -26,16 +26,18 @@ type instSnap struct {
 }
 
 // Snapshot is a deep copy of a provider's model state at a quiescent
-// instant: instance records, billing ledger, counters, and the RNG
-// position. The pending event heap is deliberately absent — at a quiescent
-// instant every provider event is a deterministic function of this state
-// (price chains from the market cursors, billing hours from lastHourAt),
-// so RestoreProvider re-arms them instead of copying closures.
+// instant: instance records, billing ledger, counters, the RNG position
+// and the watched markets. The pending event heap is deliberately absent —
+// at a quiescent instant every provider event is a deterministic function
+// of this state (price chains of the watched markets from their cursors,
+// billing hours from lastHourAt), so RestoreProvider re-arms them instead
+// of copying closures.
 type Snapshot struct {
-	at     sim.Time
-	rng    randx.State
-	nextID InstanceID
-	insts  []instSnap
+	at      sim.Time
+	rng     randx.State
+	nextID  InstanceID
+	insts   []instSnap
+	watched []market.ID // in ID order
 
 	ledgerEntries []Charge
 	ledgerTotal   float64
@@ -83,14 +85,20 @@ func (p *Provider) Snapshot() (*Snapshot, bool) {
 			charged:      in.charged,
 		})
 	}
+	for _, id := range p.set.IDs() {
+		if p.markets[id].watched {
+			s.watched = append(s.watched, id)
+		}
+	}
 	s.ledgerEntries = append([]Charge(nil), p.ledger.entries...)
 	return s, true
 }
 
 // RestoreProvider rebuilds a provider from a snapshot on a fresh engine
-// whose clock stands exactly at the snapshot time. Price chains re-arm
-// from the current cursor position (NextChangeAfter(at) names the same
-// pending change the original provider had in its heap), and each alive
+// whose clock stands exactly at the snapshot time. The price chains of the
+// snapshot's watched markets — and only those — re-arm from the current
+// cursor position (NextChangeAfter(at) names the same pending change the
+// original provider had in its heap), and each alive
 // instance's hourly billing event is rescheduled at lastHourAt + 1h — the
 // same float arithmetic the original chargeHour used — so the restored
 // provider's future is bit-identical to the original's.
@@ -99,6 +107,7 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 		return nil, fmt.Errorf("cloud: restore at t=%v but snapshot taken at t=%v", eng.Now(), s.at)
 	}
 	p := NewProvider(eng, set, params)
+	p.Watch(s.watched...)
 	p.rng = randx.Restore(s.rng)
 	p.nextID = s.nextID
 	p.revocations = s.counters.Revocations
@@ -112,9 +121,14 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 		total:   s.ledgerTotal,
 	}
 	for _, si := range s.insts {
+		ms := p.markets[si.market]
+		if ms == nil {
+			return nil, fmt.Errorf("cloud: snapshot instance %d in unknown market %s", si.id, si.market)
+		}
 		in := &Instance{
 			id:           si.id,
 			market:       si.market,
+			ms:           ms,
 			lifecycle:    si.lifecycle,
 			bid:          si.bid,
 			state:        si.state,
@@ -129,10 +143,7 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 		p.instances[in.id] = in
 		if in.Alive() {
 			if in.lifecycle == Spot {
-				if p.byMarket[in.market] == nil {
-					p.byMarket[in.market] = map[InstanceID]*Instance{}
-				}
-				p.byMarket[in.market][in.id] = in
+				ms.spot = append(ms.spot, in)
 			}
 			in.hourEvent = eng.Schedule(si.lastHourAt+sim.Hour, in.hourFn)
 		}

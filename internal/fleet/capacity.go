@@ -47,8 +47,17 @@ type TPCWPlanner struct {
 	maxReplicas int
 	quantum     float64
 
-	mu   sync.Mutex
-	memo map[int]int
+	// memo maps a quantized load (EBs) to its *plan. Each entry plans
+	// once: a hit never waits, callers missing on the same load wait for
+	// the one plan in flight, and misses on different loads plan
+	// concurrently.
+	memo sync.Map
+}
+
+// plan is one memoized capacity plan.
+type plan struct {
+	once     sync.Once
+	replicas int
 }
 
 // NewTPCWPlanner builds a planner over the paper's CPU-bound ordering mix
@@ -71,7 +80,6 @@ func NewTPCWPlanner(targetMs float64, maxReplicas int, quantum float64, seed int
 		targetMs:    targetMs,
 		maxReplicas: maxReplicas,
 		quantum:     quantum,
-		memo:        map[int]int{},
 	}, nil
 }
 
@@ -83,18 +91,18 @@ func (p *TPCWPlanner) Replicas(load float64) int {
 	if ebs < 1 {
 		ebs = 1
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n, ok := p.memo[ebs]; ok {
-		return n
+	e, ok := p.memo.Load(ebs)
+	if !ok {
+		e, _ = p.memo.LoadOrStore(ebs, &plan{})
 	}
-	cfg := p.cfg
-	cfg.EBs = ebs
-	plan, err := tpcw.PlanCapacity(cfg, p.targetMs, p.maxReplicas)
-	n := p.maxReplicas
-	if err == nil {
-		n = plan.Replicas
-	}
-	p.memo[ebs] = n
-	return n
+	pl := e.(*plan)
+	pl.once.Do(func() {
+		cfg := p.cfg
+		cfg.EBs = ebs
+		pl.replicas = p.maxReplicas
+		if res, err := tpcw.PlanCapacity(cfg, p.targetMs, p.maxReplicas); err == nil {
+			pl.replicas = res.Replicas
+		}
+	})
+	return pl.replicas
 }

@@ -209,7 +209,8 @@ type Controller struct {
 	obsNote   string
 }
 
-// New validates the config and builds a controller over the provider.
+// New validates the config and builds a controller over the provider,
+// which watches the controller's markets from now on.
 func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	switch {
@@ -260,6 +261,7 @@ func New(prov *cloud.Provider, cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("fleet: market %s not in set", id)
 		}
 	}
+	prov.Watch(sorted...)
 	c := &Controller{
 		eng:         prov.Engine(),
 		prov:        prov,

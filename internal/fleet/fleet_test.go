@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"spothost/internal/cloud"
@@ -260,6 +261,41 @@ func TestDiurnalDemand(t *testing.T) {
 	if _, err := NewDiurnalDemand(DiurnalConfig{Base: -1}); err == nil {
 		t.Fatal("invalid demand config should be rejected")
 	}
+}
+
+// TestTPCWPlannerConcurrent has several goroutines share one planner,
+// each sweeping the same loads in its own order, so hits, same-load misses
+// and different-load misses overlap. Every answer must match a serial
+// planner's; run under -race this also checks the memo's synchronization.
+func TestTPCWPlannerConcurrent(t *testing.T) {
+	loads := []float64{5, 12, 30, 45, 80}
+	serial, err := NewTPCWPlanner(250, 32, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[float64]int{}
+	for _, l := range loads {
+		want[l] = serial.Replicas(l)
+	}
+	shared, err := NewTPCWPlanner(250, 32, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range loads {
+				l := loads[(i+w)%len(loads)]
+				if got := shared.Replicas(l); got != want[l] {
+					t.Errorf("worker %d: %d replicas @%v EBs, serial planner says %d", w, got, l, want[l])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestTPCWPlannerMonotoneAndMemoized(t *testing.T) {

@@ -26,6 +26,9 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every market a candidate: all price chains stay live, so the run
+	// lasts several times the 10 ms before the cancel lands.
+	cfg.Markets = set.IDs()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)

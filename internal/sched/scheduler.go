@@ -103,7 +103,8 @@ type Scheduler struct {
 }
 
 // New builds a scheduler over an existing provider. The configuration is
-// validated against the provider's market universe.
+// validated against the provider's market universe, and the provider
+// watches the home and candidate markets from now on.
 func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 	if cfg.Types == nil {
 		cfg.Types = market.DefaultTypes()
@@ -119,6 +120,8 @@ func New(prov *cloud.Provider, cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("sched: market %s not in universe", m)
 		}
 	}
+	prov.Watch(cfg.Home)
+	prov.Watch(cfg.Markets...)
 	s := &Scheduler{cfg: cfg, prov: prov, eng: prov.Engine()}
 	s.decideFn = s.decide
 	return s, nil

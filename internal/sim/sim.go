@@ -223,7 +223,7 @@ func (e *Engine) refill() {
 
 // acquire returns an Event from the free list, refilling it with a fresh
 // slab when empty.
-func (e *Engine) acquire(at Time, fn func(), pooled bool) *Event {
+func (e *Engine) acquire(at Time, seq uint64, fn func(), pooled bool) *Event {
 	n := len(e.free)
 	if n == 0 {
 		e.refill()
@@ -232,8 +232,7 @@ func (e *Engine) acquire(at Time, fn func(), pooled bool) *Event {
 	ev := e.free[n-1]
 	e.free[n-1] = nil
 	e.free = e.free[:n-1]
-	*ev = Event{at: at, seq: e.seq, fn: fn, pooled: pooled}
-	e.seq++
+	*ev = Event{at: at, seq: seq, fn: fn, pooled: pooled}
 	return ev
 }
 
@@ -299,14 +298,43 @@ func (e *Engine) PostAfter(d Duration, fn func()) {
 	e.schedule(e.now+d, fn, true)
 }
 
+// Reserve sets aside n consecutive sequence numbers and returns the first.
+// An event later posted under one of them with PostReserved ties with
+// simultaneous events as if it had been posted at the moment of the
+// reservation: ahead of every event scheduled after Reserve returned,
+// behind every event scheduled before. This lets a model defer posting an
+// event without letting the deferral reorder it against others.
+func (e *Engine) Reserve(n int) uint64 {
+	first := e.seq
+	e.seq += uint64(n)
+	return first
+}
+
+// PostReserved is Post under a sequence number obtained from Reserve. Each
+// reserved number may be posted at most once; posting a number that was
+// never reserved panics, since it could collide with a future event's.
+func (e *Engine) PostReserved(at Time, seq uint64, fn func()) {
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: PostReserved with unreserved sequence number %d", seq))
+	}
+	e.push(at, seq, fn, true)
+}
+
 func (e *Engine) schedule(at Time, fn func(), pooled bool) *Event {
+	ev := e.push(at, e.seq, fn, pooled)
+	e.seq++
+	return ev
+}
+
+// push validates at and queues an event with the given sequence number.
+func (e *Engine) push(at Time, seq uint64, fn func(), pooled bool) *Event {
 	if math.IsNaN(at) {
 		panic("sim: Schedule at NaN")
 	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: Schedule at %v before now %v", at, e.now))
 	}
-	ev := e.acquire(at, fn, pooled)
+	ev := e.acquire(at, seq, fn, pooled)
 	e.pending.push(ev)
 	return ev
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -35,6 +36,34 @@ func TestFIFOTieBreak(t *testing.T) {
 			t.Fatalf("same-time events out of FIFO order: %v", got)
 		}
 	}
+}
+
+// TestPostReservedTieBreak posts events under reserved sequence numbers
+// after others were scheduled: among simultaneous events each fires where
+// it would have had it been posted at its reservation, in reservation
+// order whatever the posting order.
+func TestPostReservedTieBreak(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	add := func(s string) func() { return func() { got = append(got, s) } }
+	e.Post(5, add("before"))
+	first := e.Reserve(2)
+	e.Post(5, add("after"))
+	e.Schedule(1, func() {
+		e.PostReserved(5, first+1, add("reserved1"))
+		e.PostReserved(5, first, add("reserved0"))
+	})
+	e.Run()
+	want := []string{"before", "reserved0", "reserved1", "after"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("posting an unreserved sequence number did not panic")
+		}
+	}()
+	e.PostReserved(10, first+1000, func() {})
 }
 
 func TestAfterRelative(t *testing.T) {
