@@ -553,7 +553,7 @@ func BenchmarkEnvelopeCursorWalk(b *testing.B) {
 	var acc float64
 	for i := 0; i < b.N; i++ {
 		c := env.Cursor()
-		for t := sim.Time(0); t < env.End(); t += step {
+		for t := sim.Time(0); t < set.Horizon(); t += step {
 			_, p, _ := c.At(t)
 			acc += p
 		}
@@ -765,7 +765,7 @@ func BenchmarkEnvelopeCursorWalk10x(b *testing.B) {
 	var acc float64
 	for i := 0; i < b.N; i++ {
 		c := env.Cursor()
-		for t := sim.Time(0); t < env.End(); t += step {
+		for t := sim.Time(0); t < set.Horizon(); t += step {
 			_, p, _ := c.At(t)
 			acc += p
 		}

@@ -126,13 +126,6 @@ func Default() *Catalog {
 	})
 }
 
-// Entries returns the catalog's entries in construction order. Callers
-// must not modify the result.
-func (c *Catalog) Entries() []Entry { return c.entries }
-
-// Len returns the number of types.
-func (c *Catalog) Len() int { return len(c.entries) }
-
 // Lookup returns the entry named t, with ok=false when absent.
 func (c *Catalog) Lookup(t market.InstanceType) (Entry, bool) {
 	e, ok := c.byName[t]

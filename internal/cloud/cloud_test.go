@@ -58,14 +58,15 @@ func TestOnDemandLifecycleAndBilling(t *testing.T) {
 	eng, p := newTestProvider(t)
 	var runningAt sim.Time
 	var terminated bool
+	var reason TerminationReason
 	in, err := p.RequestOnDemand(mSmall, Callbacks{
 		OnRunning:    func(in *Instance) { runningAt = eng.Now() },
-		OnTerminated: func(in *Instance, r TerminationReason) { terminated = true },
+		OnTerminated: func(in *Instance, r TerminationReason) { terminated, reason = true, r },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.State() != Pending || in.Lifecycle() != OnDemand {
+	if in.State() != Pending {
 		t.Fatalf("fresh instance: %v", in)
 	}
 	// Run until well into the third billing hour, then terminate.
@@ -79,8 +80,8 @@ func TestOnDemandLifecycleAndBilling(t *testing.T) {
 	if err := p.Terminate(in); err != nil {
 		t.Fatal(err)
 	}
-	if !terminated || in.State() != Terminated || in.Reason() != ReasonUser {
-		t.Fatalf("termination not delivered: %v reason=%v", in, in.Reason())
+	if !terminated || in.State() != Terminated || reason != ReasonUser {
+		t.Fatalf("termination not delivered: %v reason=%v", in, reason)
 	}
 	// Three hours started at 0.06 each; user termination forgives nothing.
 	if got := in.Charged(); math.Abs(got-0.18) > 1e-12 {

@@ -33,12 +33,18 @@ func TestProviderRandomWorkload(t *testing.T) {
 	var mine []*Instance
 	runningAt := map[InstanceID]sim.Time{}
 	terminatedAt := map[InstanceID]sim.Time{}
+	revoked := map[InstanceID]bool{}
 	cb := Callbacks{
-		OnRunning:    func(in *Instance) { runningAt[in.ID()] = eng.Now() },
-		OnTerminated: func(in *Instance, _ TerminationReason) { terminatedAt[in.ID()] = eng.Now() },
+		OnRunning: func(in *Instance) { runningAt[in.ID()] = eng.Now() },
+		OnTerminated: func(in *Instance, r TerminationReason) {
+			terminatedAt[in.ID()] = eng.Now()
+			revoked[in.ID()] = r == ReasonRevoked
+		},
 	}
+	// pick draws a uniform index in [0, n).
+	pick := func(n int) int { return int(rng.Uniform(0, float64(n))) }
 	launch := func() {
-		id := ids[rng.Intn(len(ids))]
+		id := ids[pick(len(ids))]
 		od := prov.OnDemandPrice(id)
 		var in *Instance
 		var err error
@@ -63,7 +69,7 @@ func TestProviderRandomWorkload(t *testing.T) {
 			if len(mine) == 0 {
 				return
 			}
-			in := mine[rng.Intn(len(mine))]
+			in := mine[pick(len(mine))]
 			if in.State() == Running || in.State() == Pending {
 				_ = prov.Terminate(in)
 			}
@@ -102,7 +108,7 @@ func TestProviderRandomWorkload(t *testing.T) {
 		}
 	}
 	for _, in := range mine {
-		if in.State() == Terminated && in.Reason() == ReasonRevoked {
+		if in.State() == Terminated && revoked[in.ID()] {
 			elapsed := terminatedAt[in.ID()] - runningAt[in.ID()]
 			onBoundary := math.Mod(elapsed, sim.Hour) < 1e-6
 			if !onBoundary && !refundsByInstance[in.ID()] && in.Charged() > 0 {

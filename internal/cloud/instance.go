@@ -107,7 +107,6 @@ type Instance struct {
 	state        State
 	runningAt    sim.Time
 	warnDeadline sim.Time
-	reason       TerminationReason
 
 	cb Callbacks
 
@@ -126,23 +125,8 @@ func (in *Instance) ID() InstanceID { return in.id }
 // Market returns the (region, type) market the instance runs in.
 func (in *Instance) Market() market.ID { return in.market }
 
-// Region returns the instance's region.
-func (in *Instance) Region() market.Region { return in.market.Region }
-
-// Type returns the instance's size.
-func (in *Instance) Type() market.InstanceType { return in.market.Type }
-
-// Lifecycle returns Spot or OnDemand.
-func (in *Instance) Lifecycle() Lifecycle { return in.lifecycle }
-
-// Bid returns the spot bid price (0 for on-demand instances).
-func (in *Instance) Bid() float64 { return in.bid }
-
 // State returns the current lifecycle state.
 func (in *Instance) State() State { return in.state }
-
-// Reason returns the termination reason (meaningful once Terminated).
-func (in *Instance) Reason() TerminationReason { return in.reason }
 
 // Charged returns the total amount billed to this instance so far,
 // including any revocation refund.

@@ -130,9 +130,6 @@ func (p *Provider) Engine() *sim.Engine { return p.eng }
 // Markets returns the market universe.
 func (p *Provider) Markets() *market.Set { return p.set }
 
-// Params returns the provider parameters.
-func (p *Provider) Params() Params { return p.params }
-
 // Ledger returns the billing ledger.
 func (p *Provider) Ledger() *Ledger { return &p.ledger }
 
@@ -364,7 +361,6 @@ func (p *Provider) Terminate(in *Instance) error {
 
 func (p *Provider) terminate(in *Instance, reason TerminationReason) {
 	in.state = Terminated
-	in.reason = reason
 	if in.hourEvent != nil {
 		p.eng.Cancel(in.hourEvent)
 		in.hourEvent = nil

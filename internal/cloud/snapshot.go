@@ -19,7 +19,6 @@ type instSnap struct {
 	state        State
 	runningAt    sim.Time
 	warnDeadline sim.Time
-	reason       TerminationReason
 	lastHourAt   sim.Time
 	lastHourCost float64
 	charged      float64
@@ -44,9 +43,6 @@ type Snapshot struct {
 
 	counters Counters
 }
-
-// At returns the simulation time the snapshot was taken.
-func (s *Snapshot) At() sim.Time { return s.at }
 
 // Snapshot captures the provider's state if it is quiescent: no allocation
 // in flight (Pending) and no revocation mid-grace (Revoking). Those
@@ -79,7 +75,6 @@ func (p *Provider) Snapshot() (*Snapshot, bool) {
 			state:        in.state,
 			runningAt:    in.runningAt,
 			warnDeadline: in.warnDeadline,
-			reason:       in.reason,
 			lastHourAt:   in.lastHourAt,
 			lastHourCost: in.lastHourCost,
 			charged:      in.charged,
@@ -134,7 +129,6 @@ func RestoreProvider(eng *sim.Engine, set *market.Set, params Params, s *Snapsho
 			state:        si.state,
 			runningAt:    si.runningAt,
 			warnDeadline: si.warnDeadline,
-			reason:       si.reason,
 			lastHourAt:   si.lastHourAt,
 			lastHourCost: si.lastHourCost,
 			charged:      si.charged,

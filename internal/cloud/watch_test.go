@@ -55,7 +55,7 @@ func TestWatchIdempotent(t *testing.T) {
 	if eng.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1 armed chain", eng.Pending())
 	}
-	eng.Run()
+	eng.RunUntil(p.Markets().Trace(mSmall).End())
 	if n != 2 || eng.Processed() != 2 {
 		t.Fatalf("subscriber fired %d times over %d events, want 2 and 2", n, eng.Processed())
 	}
@@ -99,7 +99,7 @@ func TestWatchOrderIrrelevant(t *testing.T) {
 				log = append(log, fmt.Sprintf("%v %s %v", at, id.Type, price))
 			})
 		}
-		eng.Run()
+		eng.RunUntil(end)
 		return log
 	}
 	together := run(func(p *Provider) { p.Watch(a, b) })
@@ -149,14 +149,14 @@ func TestRestoreArmsOnlyWatchedChains(t *testing.T) {
 		t.Fatalf("snapshot watched %v, want %v", snap.watched, want)
 	}
 
-	eng2 := sim.NewEngineAt(snap.At())
+	eng2 := sim.NewEngineAt(snap.at)
 	r, err := RestoreProvider(eng2, set, fixedParams(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 0
 	for _, id := range snap.watched {
-		if _, _, ok := set.Trace(id).NextChangeAfter(snap.At()); ok {
+		if _, _, ok := set.Trace(id).NextChangeAfter(snap.at); ok {
 			want++
 		}
 	}

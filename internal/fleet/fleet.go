@@ -1357,20 +1357,6 @@ func (c *Controller) sampleOccupancy(now sim.Time) {
 	c.occupancy = append(c.occupancy, pt)
 }
 
-// Target returns the current replica target.
-func (c *Controller) Target() int { return c.target }
-
-// Alive returns the number of currently serving replicas.
-func (c *Controller) Alive() int {
-	n := 0
-	for _, r := range c.replicas {
-		if r.in.Alive() {
-			n++
-		}
-	}
-	return n
-}
-
 // Report returns the run report as of the engine's current time without
 // mutating the controller: the interval since the last committed state
 // change is folded in as a read-only delta. Keeping Report pure is what

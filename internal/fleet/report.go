@@ -103,45 +103,13 @@ func (r Report) MaxSimultaneousLoss() int {
 	return max
 }
 
-// LossVariance buckets lost replicas into fixed windows over the horizon
-// (zero buckets included) and returns the variance of the per-window
-// counts. Concentrated strategies lose many replicas in few windows —
-// high variance; diversified ones spread smaller losses — low variance.
-func (r Report) LossVariance(window sim.Duration) float64 {
-	if window <= 0 || r.Horizon <= 0 {
-		return 0
-	}
-	n := int(math.Ceil(float64(r.Horizon) / float64(window)))
-	if n == 0 {
-		return 0
-	}
-	counts := make([]float64, n)
-	for _, e := range r.LossEvents {
-		i := int(float64(e.At) / float64(window))
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		counts[i] += float64(e.Lost)
-	}
-	var mean float64
-	for _, c := range counts {
-		mean += c
-	}
-	mean /= float64(n)
-	var v float64
-	for _, c := range counts {
-		d := c - mean
-		v += d * d
-	}
-	return v / float64(n)
-}
-
-// PooledLossVariance computes LossVariance over the concatenated windows
-// of several runs — the cross-seed statistic the Fleet experiment and
-// the diversification property test report.
+// PooledLossVariance buckets each run's lost replicas into fixed windows
+// over its horizon (zero buckets included), concatenates the windows of
+// all runs and returns the variance of the per-window counts — the
+// cross-seed statistic the Fleet experiment and the diversification
+// property test report. Concentrated strategies lose many replicas in few
+// windows — high variance; diversified ones spread smaller losses — low
+// variance.
 func PooledLossVariance(reports []Report, window sim.Duration) float64 {
 	if window <= 0 {
 		return 0

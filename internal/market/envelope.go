@@ -29,10 +29,8 @@ type envSeg struct {
 // An Envelope is immutable after construction and safe to share across
 // goroutines; EnvelopeCursor holds the per-run mutable position.
 type Envelope struct {
-	ids     []ID
-	weights []float64
-	segs    []envSeg
-	end     sim.Time
+	ids  []ID
+	segs []envSeg
 }
 
 // buildEnvelope sweeps the merged segment boundaries of the candidate
@@ -60,8 +58,6 @@ func buildEnvelope(s *Set, ids []ID, weights []float64) *Envelope {
 		for i := range w {
 			w[i] = 1
 		}
-	} else {
-		w = append([]float64(nil), w...)
 	}
 
 	// Merged boundary times: every candidate's change points, plus 0 so the
@@ -77,7 +73,7 @@ func buildEnvelope(s *Set, ids []ID, weights []float64) *Envelope {
 	}
 	sort.Float64s(times)
 
-	e := &Envelope{ids: append([]ID(nil), ids...), weights: w, end: end}
+	e := &Envelope{ids: append([]ID(nil), ids...)}
 	e.segs = make([]envSeg, 0, len(times))
 	idx := make([]int, len(ids)) // per-trace index of last point with T <= t
 	prev := sim.Time(-1)
@@ -105,28 +101,6 @@ func buildEnvelope(s *Set, ids []ID, weights []float64) *Envelope {
 		e.segs = append(e.segs, envSeg{t: t, arg: arg, price: best, weighted: bestW})
 	}
 	return e
-}
-
-// IDs returns the candidate markets, in scan order. Callers must not modify
-// the result.
-func (e *Envelope) IDs() []ID { return e.ids }
-
-// Len returns the number of envelope segments.
-func (e *Envelope) Len() int { return len(e.segs) }
-
-// End returns the envelope's horizon (the earliest candidate trace end).
-func (e *Envelope) End() sim.Time { return e.end }
-
-// At returns the cheapest candidate at time t by binary search: the market,
-// its raw price, and its weighted price. Prefer Cursor for the monotone
-// queries of a simulation clock.
-func (e *Envelope) At(t sim.Time) (id ID, price, weighted float64) {
-	i := sort.Search(len(e.segs), func(j int) bool { return e.segs[j].t > t }) - 1
-	if i < 0 {
-		i = 0
-	}
-	s := e.segs[i]
-	return e.ids[s.arg], s.price, s.weighted
 }
 
 // Cursor returns a new cursor over the envelope, positioned at the start.

@@ -53,6 +53,15 @@ func bruteArgmin(s *Set, ids []ID, weights []float64, t sim.Time) (ID, float64, 
 	return ids[arg], best, bestW
 }
 
+// envelopeEnd is the envelope's horizon: the earliest candidate trace end.
+func envelopeEnd(s *Set, ids []ID) sim.Time {
+	end := s.Trace(ids[0]).End()
+	for _, id := range ids[1:] {
+		end = min(end, s.Trace(id).End())
+	}
+	return end
+}
+
 func TestEnvelopeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 30; trial++ {
@@ -69,9 +78,11 @@ func TestEnvelopeMatchesBruteForce(t *testing.T) {
 		if env == nil {
 			t.Fatal("nil envelope for valid candidates")
 		}
+		// Unordered queries: every one re-seeks the cursor forward or back.
+		cur, end := env.Cursor(), envelopeEnd(s, ids)
 		for i := 0; i < 400; i++ {
-			q := sim.Time(rng.Float64() * float64(env.End()))
-			id, price, weighted := env.At(q)
+			q := sim.Time(rng.Float64() * float64(end))
+			id, price, weighted := cur.At(q)
 			wid, wprice, wweighted := bruteArgmin(s, ids, weights, q)
 			if id != wid || price != wprice || weighted != wweighted {
 				t.Fatalf("trial %d: At(%v) = (%v,%v,%v), brute force (%v,%v,%v)",
@@ -88,17 +99,16 @@ func TestEnvelopeCursorMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		m := 1 + rng.Intn(8)
 		s, ids := randomEnvelopeSet(t, rng, m)
-		env := s.Envelope(ids, nil)
-		cur := env.Cursor()
+		cur, end := s.Envelope(ids, nil).Cursor(), envelopeEnd(s, ids)
 		q := sim.Time(0)
 		for i := 0; i < 400; i++ {
 			if rng.Float64() < 0.9 {
 				q += sim.Time(rng.Float64() * 500)
-				if q > env.End() {
-					q = env.End() - 1
+				if q > end {
+					q = end - 1
 				}
 			} else {
-				q = sim.Time(rng.Float64() * float64(env.End()))
+				q = sim.Time(rng.Float64() * float64(end))
 			}
 			id, price, weighted := cur.At(q)
 			wid, wprice, wweighted := bruteArgmin(s, ids, nil, q)

@@ -424,13 +424,6 @@ func (s *Set) Trace(id ID) *Trace { return s.traces[id] }
 // type in its region, or 0 when unknown.
 func (s *Set) OnDemand(id ID) float64 { return s.onDemand[id] }
 
-// TypeSpec returns the set's size metadata for an instance type, with
-// ok=false for untyped sets (replayed files) or unknown types.
-func (s *Set) TypeSpec(t InstanceType) (TypeSpec, bool) {
-	ts, ok := s.types[t]
-	return ts, ok
-}
-
 // Horizon returns the common usable end time across all traces.
 func (s *Set) Horizon() sim.Time { return s.end }
 

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -109,6 +111,66 @@ func TestAverage(t *testing.T) {
 	}
 	if avg.LongestDowntime != 9 {
 		t.Fatalf("longest = %v", avg.LongestDowntime)
+	}
+}
+
+// TestAccumMatchesAverage pins the cross-seed mean that sweeps stream and
+// Average folds: labels from the first report, downtime logs dropped,
+// every sum added in report order, counts rounded, the longest downtime
+// the maximum, and the zero Report from an empty Accum.
+func TestAccumMatchesAverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	reports := make([]Report, 7)
+	for i := range reports {
+		reports[i] = Report{
+			Policy:          "proactive",
+			Mechanism:       "ckpt+lazy+live",
+			VMs:             4,
+			Horizon:         30 * sim.Day,
+			Cost:            rng.Float64() * 100,
+			BaselineCost:    100,
+			CheckpointGB:    rng.Float64() * 50,
+			SpotSeconds:     rng.Float64() * 2e6,
+			OnDemandSeconds: rng.Float64() * 1e5,
+			DowntimeSeconds: rng.Float64() * 300,
+			DegradedSeconds: rng.Float64() * 900,
+			DownEpisodes:    rng.Intn(20),
+			LongestDowntime: sim.Duration(rng.Intn(120)),
+			Migrations: MigrationCounts{
+				Forced:      rng.Intn(30),
+				Planned:     rng.Intn(30),
+				Reverse:     rng.Intn(30),
+				CrossRegion: rng.Intn(5),
+				MemoryLost:  rng.Intn(5),
+			},
+			DowntimeLog: []Interval{{Start: 1, End: 2}},
+		}
+	}
+	var acc Accum
+	if got := acc.Mean(); !reflect.DeepEqual(got, Report{}) {
+		t.Fatalf("empty accumulator mean = %+v", got)
+	}
+	var cost, spot, forced, eps float64
+	var longest sim.Duration
+	for _, r := range reports {
+		acc.Add(r)
+		cost += r.Cost
+		spot += r.SpotSeconds
+		forced += float64(r.Migrations.Forced)
+		eps += float64(r.DownEpisodes)
+		longest = max(longest, r.LongestDowntime)
+	}
+	got, n := acc.Mean(), float64(len(reports))
+	if got.Cost != cost/n || got.SpotSeconds != spot/n ||
+		got.Migrations.Forced != int(forced/n+0.5) || got.DownEpisodes != int(eps/n+0.5) ||
+		got.LongestDowntime != longest {
+		t.Fatalf("streaming mean %+v is not the in-order mean", got)
+	}
+	if got.Policy != "proactive" || got.Mechanism != "ckpt+lazy+live" || got.VMs != 4 || got.DowntimeLog != nil {
+		t.Fatalf("labels or downtime log not taken from the first report: %+v", got)
+	}
+	if want := Average(reports); !reflect.DeepEqual(got, want) {
+		t.Fatalf("streaming mean differs from Average:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
 

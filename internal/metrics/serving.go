@@ -54,17 +54,12 @@ type KindStats struct {
 	InFlight  int64
 }
 
-// Start records a run entering execution and returns the done callback to
-// invoke exactly once when it finishes. done classifies the outcome from
-// the run's error: nil counts as completed, context cancellation or
-// deadline expiry as canceled, anything else as failed; it also adds the
-// run's wall time to the duration total and decrements the in-flight
-// gauge.
-func (s *Serving) Start() (done func(err error)) {
-	return s.StartKind("")
-}
-
-// StartKind is Start with a run-kind label ("experiment", "scenario",
+// StartKind records a run entering execution and returns the done
+// callback to invoke exactly once when it finishes. done classifies the
+// outcome from the run's error: nil counts as completed, context
+// cancellation or deadline expiry as canceled, anything else as failed; it
+// also adds the run's wall time to the duration total and decrements the
+// in-flight gauge. kind labels the run ("experiment", "scenario",
 // "fleet", ...): the run is counted both in the aggregate counters and in
 // a per-kind breakdown. An empty kind counts only in the aggregate.
 func (s *Serving) StartKind(kind string) (done func(err error)) {

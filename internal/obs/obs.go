@@ -94,14 +94,6 @@ func NewRecorder(label string, cfg Config) *Recorder {
 	return o
 }
 
-// Label returns the recorder's run label.
-func (o *Recorder) Label() string {
-	if o == nil {
-		return ""
-	}
-	return o.label
-}
-
 // Capacity credits the capacity state that held since the previous call:
 // served/target capacity units up to simulated time t. Call it exactly
 // where the run's accounting advances (fleet.Controller.advance) so the

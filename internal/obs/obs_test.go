@@ -120,9 +120,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	if tl := o.Snapshot(10, 0, 0); len(tl.Series) != 0 {
 		t.Fatalf("nil recorder snapshot has %d series", len(tl.Series))
 	}
-	if o.Label() != "" {
-		t.Fatal("nil recorder label non-empty")
-	}
 }
 
 // A mid-run snapshot folds the open gauge tail into a copy: it must not
@@ -248,8 +245,8 @@ func TestCollectorScopeAndDedup(t *testing.T) {
 	c := NewCollector(Config{Budget: 8, Width: 10})
 	sc := c.Scope("shard-0").Scope("acme")
 	r1 := sc.Run("web")
-	if r1.Label() != "shard-0/acme/web" {
-		t.Fatalf("label = %q", r1.Label())
+	if r1.label != "shard-0/acme/web" {
+		t.Fatalf("label = %q", r1.label)
 	}
 	r1.Finalize(10, 1, 1)
 	c.Done(r1)

@@ -107,17 +107,8 @@ func (s *Stream) Derive(label string) *Stream {
 // Float64 returns a uniform variate in [0, 1).
 func (s *Stream) Float64() float64 { return s.rng.Float64() }
 
-// Intn returns a uniform integer in [0, n).
-func (s *Stream) Intn(n int) int { return s.rng.Intn(n) }
-
-// Int63 returns a non-negative 63-bit integer.
-func (s *Stream) Int63() int64 { return s.rng.Int63() }
-
 // NormFloat64 returns a standard normal variate.
 func (s *Stream) NormFloat64() float64 { return s.rng.NormFloat64() }
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
 
 // Exp returns an exponential variate with the given mean. A non-positive
 // mean yields 0.

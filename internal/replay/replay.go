@@ -42,10 +42,6 @@ type Record struct {
 type Options struct {
 	// Product filters records by product description; empty keeps all.
 	Product string
-	// TypeMap renames AWS instance types to catalog sizes (e.g.
-	// "m1.small" -> "small"). Nil uses DefaultTypeMap; unmapped types
-	// keep their AWS name.
-	TypeMap map[string]market.InstanceType
 	// OnDemand overrides the on-demand price book per market. Markets
 	// not listed fall back to the default catalog for known sizes, then
 	// to the trace's maximum price.
@@ -55,7 +51,8 @@ type Options struct {
 }
 
 // DefaultTypeMap maps the 2015-era instance families the paper used onto
-// the catalog's four sizes.
+// the catalog's four sizes. Build renames AWS instance types through it
+// (e.g. "m1.small" -> "small"); unmapped types keep their AWS name.
 func DefaultTypeMap() map[string]market.InstanceType {
 	return map[string]market.InstanceType{
 		"m1.small":   "small",
@@ -189,10 +186,7 @@ func ParseLegacy(r io.Reader) ([]Record, error) {
 
 // Build converts records into a market.Set per the options.
 func Build(records []Record, opts Options) (*market.Set, error) {
-	tm := opts.TypeMap
-	if tm == nil {
-		tm = DefaultTypeMap()
-	}
+	tm := DefaultTypeMap()
 	// Filter and map.
 	var kept []Record
 	for _, rec := range records {

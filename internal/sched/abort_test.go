@@ -3,9 +3,9 @@ package sched
 import (
 	"testing"
 
-	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
+	"spothost/internal/trace"
 )
 
 // abortUniverse builds two markets where a planned migration from "small"
@@ -42,7 +42,7 @@ func abortUniverse(t *testing.T, spikeAt sim.Time) *market.Set {
 	return set
 }
 
-func runAbort(t *testing.T, spikeAt sim.Time) *Scheduler {
+func runAbort(t *testing.T, spikeAt sim.Time) (*Scheduler, *trace.Recorder) {
 	t.Helper()
 	cfg := mustConfig(t)
 	cfg.Service.VM.Units = 1
@@ -50,15 +50,8 @@ func runAbort(t *testing.T, spikeAt sim.Time) *Scheduler {
 		{Region: "us-east-1a", Type: "small"},
 		{Region: "us-east-1a", Type: "medium"},
 	}
-	eng := sim.NewEngine()
-	prov := cloud.NewProvider(eng, abortUniverse(t, spikeAt), fixedCloudParams())
-	s, err := New(prov, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	eng.RunUntil(50 * sim.Hour)
-	return s
+	s, _, rec := startTraced(t, abortUniverse(t, spikeAt), cfg, 50*sim.Hour)
+	return s, rec
 }
 
 // Timeline landmarks (deterministic startups): the service boots on small
@@ -70,14 +63,11 @@ func runAbort(t *testing.T, spikeAt sim.Time) *Scheduler {
 // during its allocation — the pending requests are cancelled
 // (never-granted) and the migration aborts without any service impact.
 func TestPlannedTargetRevokedWhileAllocating(t *testing.T) {
-	s := runAbort(t, 10750)
+	s, rec := runAbort(t, 10750)
 	r := s.Report()
 
-	if len(s.EventsOf(EvMigrationStart)) == 0 {
-		t.Fatalf("migration never armed:\n%s", renderLog(s))
-	}
-	if len(s.EventsOf(EvMigrationAborted)) == 0 {
-		t.Fatalf("migration not aborted:\n%s", renderLog(s))
+	if count(choreography(rec), "migration:planned(aborted)") == 0 {
+		t.Fatalf("migration not armed and aborted:\n%s", renderSpans(rec))
 	}
 	if r.DowntimeSeconds != 0 {
 		t.Fatalf("aborted migration caused downtime: %v", r.DowntimeSeconds)
@@ -95,11 +85,11 @@ func TestPlannedTargetRevokedWhileAllocating(t *testing.T) {
 // the destination group is ready but before the hand-off completes — the
 // scheduler abandons the dying target and stays put.
 func TestPlannedTargetRevokedBeforeHandOff(t *testing.T) {
-	s := runAbort(t, 10920)
+	s, rec := runAbort(t, 10920)
 	r := s.Report()
 
-	if len(s.EventsOf(EvMigrationAborted)) == 0 {
-		t.Fatalf("migration not aborted:\n%s", renderLog(s))
+	if count(choreography(rec), "migration:planned(aborted)") == 0 {
+		t.Fatalf("migration not aborted:\n%s", renderSpans(rec))
 	}
 	if r.DowntimeSeconds != 0 {
 		t.Fatalf("aborted hand-off caused downtime: %v", r.DowntimeSeconds)
@@ -119,11 +109,11 @@ func TestPlannedTargetRevokedBeforeHandOff(t *testing.T) {
 // medium — which is subsequently revoked, exercising the forced path from
 // the new home.
 func TestPlannedTargetSurvivesWhenSpikeComesLate(t *testing.T) {
-	s := runAbort(t, 20*sim.Hour)
+	s, rec := runAbort(t, 20*sim.Hour)
 	r := s.Report()
 
 	if r.Migrations.Planned < 1 {
-		t.Fatalf("migration did not complete: %+v\n%s", r.Migrations, renderLog(s))
+		t.Fatalf("migration did not complete: %+v\n%s", r.Migrations, renderSpans(rec))
 	}
 	// The late spike (0.60 > 0.48 bid) then forces the fleet off medium.
 	if r.Migrations.Forced != 1 {

@@ -3,7 +3,6 @@ package sched
 import (
 	"testing"
 
-	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
 	"spothost/internal/vm"
@@ -47,18 +46,11 @@ func TestCrossRegionPlannedMigration(t *testing.T) {
 		{Region: "us-east-1a", Type: "small"},
 		{Region: "eu-west-1a", Type: "small"},
 	}
-	eng := sim.NewEngine()
-	prov := cloud.NewProvider(eng, set, fixedCloudParams())
-	s, err := New(prov, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	eng.RunUntil(60 * sim.Hour)
+	s, prov, rec := startTraced(t, set, cfg, 60*sim.Hour)
 	r := s.Report()
 
 	if r.Migrations.CrossRegion < 1 {
-		t.Fatalf("no cross-region migration: %+v\n%s", r.Migrations, renderLog(s))
+		t.Fatalf("no cross-region migration: %+v\n%s", r.Migrations, renderSpans(rec))
 	}
 	if r.Migrations.Forced != 0 {
 		t.Fatalf("forced migrations in a sub-bid script: %+v", r.Migrations)
@@ -67,14 +59,14 @@ func TestCrossRegionPlannedMigration(t *testing.T) {
 	if r.DowntimeSeconds > 5 {
 		t.Fatalf("cross-region downtime = %.1f s", r.DowntimeSeconds)
 	}
-	// The service ends up on the eu spot market, not on-demand.
-	dones := s.EventsOf(EvMigrationDone)
-	if len(dones) == 0 {
-		t.Fatal("no completed migrations logged")
+	// The service ends up on the eu spot market, not on-demand: the last
+	// hour billed is an eu spot hour.
+	if count(choreography(rec), "migration:planned") == 0 {
+		t.Fatalf("no completed planned migration:\n%s", renderSpans(rec))
 	}
-	last := dones[len(dones)-1]
-	if last.Market.Region != "eu-west-1a" || last.Lifecycle != cloud.Spot {
-		t.Fatalf("final placement: %s/%s", last.Market, last.Lifecycle)
+	charges := prov.Ledger().Entries()
+	if last := charges[len(charges)-1]; last.Market.Region != "eu-west-1a" || !last.Spot {
+		t.Fatalf("final placement: %+v", last)
 	}
 	if r.Cost >= r.BaselineCost {
 		t.Fatalf("cost %v vs baseline %v", r.Cost, r.BaselineCost)

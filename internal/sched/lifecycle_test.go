@@ -6,6 +6,7 @@ import (
 	"spothost/internal/cloud"
 	"spothost/internal/market"
 	"spothost/internal/sim"
+	"spothost/internal/trace"
 )
 
 // TestSchedulerStop: a stopped service terminates its servers, freezes its
@@ -13,6 +14,8 @@ import (
 func TestSchedulerStop(t *testing.T) {
 	set := singleMarketSet(t, []market.Point{{T: 0, Price: 0.01}}, 60*sim.Hour)
 	eng := sim.NewEngine()
+	rec := trace.NewRecorder(t.Name())
+	eng.SetRecorder(rec)
 	prov := cloud.NewProvider(eng, set, fixedCloudParams())
 	s, err := New(prov, mustConfig(t))
 	if err != nil {
@@ -34,12 +37,13 @@ func TestSchedulerStop(t *testing.T) {
 	if r.Cost > 0.12 || r.Cost < 0.08 {
 		t.Fatalf("cost = %v", r.Cost)
 	}
-	// All instances are gone.
-	for _, e := range s.Events() {
-		if e.Kind == EvStopped && e.At != 10*sim.Hour {
-			t.Fatalf("stop logged at %v", e.At)
+	// Nothing, billing included, is recorded after the stop.
+	for _, sp := range rec.Spans() {
+		if sp.Start > 10*sim.Hour || sp.End > 10*sim.Hour {
+			t.Fatalf("%s span at %v..%v after the stop", sp.Kind, sp.Start, sp.End)
 		}
 	}
+	// All instances are gone.
 	if got := prov.Counters().UserTerminating; got == 0 {
 		t.Fatal("no instances terminated at stop")
 	}

@@ -7,6 +7,7 @@ import (
 	"spothost/internal/market"
 	"spothost/internal/metrics"
 	"spothost/internal/sim"
+	"spothost/internal/trace"
 	"spothost/internal/vm"
 )
 
@@ -63,6 +64,8 @@ func TestPortfolioLifecycle(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 
+	rec := trace.NewRecorder("portfolio")
+	p.SetRecorder(rec)
 	if err := p.Run(8 * sim.Day); err != nil {
 		t.Fatal(err)
 	}
@@ -118,21 +121,25 @@ func TestPortfolioLifecycle(t *testing.T) {
 		t.Fatal("no migrations recorded across the portfolio")
 	}
 
-	// Per-service event logs are recoverable after the run.
-	shopEvents, err := p.Events("shop")
-	if err != nil {
-		t.Fatal(err)
+	// Each service records its choreography on its own trace lane, in
+	// time order, starting with its boot.
+	lanes := map[string][]trace.Span{}
+	for _, sp := range rec.Spans() {
+		lanes[sp.Track] = append(lanes[sp.Track], sp)
 	}
-	if len(shopEvents) == 0 {
-		t.Fatal("shop event log empty after an 8-day run")
-	}
-	for i := 1; i < len(shopEvents); i++ {
-		if shopEvents[i].At < shopEvents[i-1].At {
-			t.Fatalf("event log out of order at %d: %v < %v", i, shopEvents[i].At, shopEvents[i-1].At)
+	for _, name := range names {
+		lane := lanes[name]
+		if len(lane) == 0 || lane[0].Kind != trace.KindBoot {
+			t.Fatalf("%s lane does not open with its boot: %v", name, lane)
+		}
+		for i := 1; i < len(lane); i++ {
+			if lane[i].Start < lane[i-1].Start {
+				t.Fatalf("%s lane out of order at %d: %v < %v", name, i, lane[i].Start, lane[i-1].Start)
+			}
 		}
 	}
-	if _, err := p.Events("ghost"); err == nil {
-		t.Fatal("unknown service event log accepted")
+	if len(lanes) != len(names)+1 {
+		t.Fatalf("lanes %v, want the services and billing", len(lanes))
 	}
 }
 

@@ -52,7 +52,6 @@ type Scheduler struct {
 	forcedImageDone    bool
 	forcedMemLost      bool
 	forcedRestoreBegun bool
-	forcedDeadline     sim.Time
 
 	decisionEv    *sim.Event
 	decideFn      func()       // persistent s.decide closure for scheduling
@@ -68,7 +67,6 @@ type Scheduler struct {
 	odBestSet      bool
 	ckptDaemon     *vm.CheckpointDaemon
 	ckptWrittenMB  float64
-	events         []Event
 	started        bool
 	stopped        bool
 	stoppedAt      sim.Time
@@ -240,7 +238,6 @@ func (s *Scheduler) bootstrap() {
 			s.bootReady, s.bootFailed)
 		if err == nil {
 			s.group = g
-			s.logEvent(EvBoot, g, "spot bootstrap")
 			return
 		}
 	}
@@ -261,7 +258,6 @@ func (s *Scheduler) bootOnDemand() {
 	}
 	s.bootFallbackOD = true
 	s.group = g
-	s.logEvent(EvBoot, g, "on-demand bootstrap")
 }
 
 func (s *Scheduler) bootReady(g *serverGroup) {
@@ -278,7 +274,6 @@ func (s *Scheduler) bootReady(g *serverGroup) {
 	s.bootSpan = 0
 	s.setPlacement(s.placementOf(g))
 	s.phase = phaseSteady
-	s.logEvent(EvServiceUp, g, "boot complete")
 	s.startCheckpointing()
 	s.scheduleNextDecision()
 }
@@ -576,7 +571,6 @@ func (s *Scheduler) beginPlannedMigration(m market.ID, lc cloud.Lifecycle) {
 		s.migClass = "reverse"
 	}
 	s.migSpan = s.tracer().Begin(trace.KindMigration, s.migClass, s.track, s.eng.Now())
-	s.logEvent(EvMigrationStart, g, "voluntary destination requested")
 }
 
 func (s *Scheduler) plannedTargetFailed(g *serverGroup) {
@@ -588,7 +582,6 @@ func (s *Scheduler) plannedTargetFailed(g *serverGroup) {
 	s.phase = phaseSteady
 	s.tracer().EndWith(s.migSpan, s.eng.Now(), "aborted")
 	s.migSpan = 0
-	s.logEvent(EvMigrationAborted, g, "destination failed before hand-off")
 	s.scheduleNextDecision()
 }
 
@@ -646,11 +639,6 @@ func (s *Scheduler) plannedTargetReady(g *serverGroup) {
 		old.abandon(s.prov)
 		s.setPlacement(s.placementOf(g))
 		s.phase = phaseSteady
-		if reverse {
-			s.logEvent(EvMigrationDone, g, "reverse migration complete")
-		} else {
-			s.logEvent(EvMigrationDone, g, "planned migration complete")
-		}
 		s.startCheckpointing()
 		s.scheduleNextDecision()
 	})
@@ -721,13 +709,11 @@ func (s *Scheduler) onWarning(g *serverGroup, in *cloud.Instance, deadline sim.T
 func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 	now := s.eng.Now()
 	s.phase = phaseForced
-	s.forcedDeadline = deadline
 	s.forcedImageDone = false
 	s.forcedRestoreBegun = false
 	s.tracer().Instant(trace.KindWarning, "", s.track, now)
 	s.migClass = "forced"
 	s.migSpan = s.tracer().Begin(trace.KindMigration, "forced", s.track, now)
-	s.logEvent(EvWarning, s.group, fmt.Sprintf("revocation warning, %.0fs grace", deadline-now))
 	if s.decisionEv != nil {
 		s.eng.Cancel(s.decisionEv)
 		s.decisionEv = nil
@@ -760,7 +746,6 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 			s.markForcedDown(deadline, grace, true)
 			s.tracer().Instant(trace.KindSuspend, "memlost", s.track, s.eng.Now())
 			s.traceDown(downClass)
-			s.logEvent(EvSuspend, s.group, "terminated without checkpoint (memory lost)")
 			s.forcedImageDone = true // nothing to save; disk-only restart
 			s.maybeRestore()
 		})
@@ -769,7 +754,6 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 			s.markForcedDown(deadline, grace, false)
 			s.tracer().Instant(trace.KindSuspend, "checkpoint", s.track, s.eng.Now())
 			s.traceDown(downClass)
-			s.logEvent(EvSuspend, s.group, "suspended for final increment")
 		})
 		s.eng.Post(deadline, func() {
 			s.forcedImageDone = true
@@ -784,7 +768,6 @@ func (s *Scheduler) beginForcedMigration(deadline sim.Time) {
 			s.setPlacement(placedNone)
 			s.tracer().EndWith(s.migSpan, s.eng.Now(), "pure-spot waiting")
 			s.migSpan = 0
-			s.logEvent(EvWaiting, nil, "pure spot: waiting for the price to drop")
 			s.tryReacquireSpot()
 		})
 		return
@@ -861,7 +844,6 @@ func (s *Scheduler) maybeRestore() {
 	}
 	g := s.target
 	s.restSpan = s.tracer().Begin(trace.KindRestore, "", s.track, now)
-	s.logEvent(EvRestore, g, fmt.Sprintf("restore started, %.0fs to resume", downtime))
 	s.eng.Post(now+downtime, func() {
 		if s.phase != phaseForced || s.target != g {
 			return
@@ -881,7 +863,6 @@ func (s *Scheduler) maybeRestore() {
 		s.target = nil
 		s.setPlacement(s.placementOf(g))
 		s.phase = phaseSteady
-		s.logEvent(EvServiceUp, g, "forced migration complete")
 		s.startCheckpointing()
 		s.scheduleNextDecision()
 	})
@@ -944,7 +925,6 @@ func (s *Scheduler) waitingReady(g *serverGroup) {
 		s.traceUp()
 		s.setPlacement(placedSpot)
 		s.phase = phaseSteady
-		s.logEvent(EvServiceUp, g, "re-acquired spot capacity")
 		s.startCheckpointing()
 	})
 }
@@ -1025,9 +1005,6 @@ func (s *Scheduler) Report() metrics.Report {
 	}
 }
 
-// DowntimeLog returns the closed downtime episodes recorded so far.
-func (s *Scheduler) DowntimeLog() []metrics.Interval { return s.down.Log() }
-
 // Stop winds the service down voluntarily: pending decisions are
 // cancelled, in-flight migrations abandoned, every live instance
 // terminated, and accounting closed. A stopped service accrues neither
@@ -1056,14 +1033,10 @@ func (s *Scheduler) Stop() {
 	s.bootSpan = 0
 	s.setPlacement(placedNone)
 	s.phase = phaseStopped
-	s.logEvent(EvStopped, nil, "service stopped")
 }
 
 // Stopped reports whether Stop has been called.
 func (s *Scheduler) Stopped() bool { return s.stopped }
-
-// Started reports whether the service has come up at least once.
-func (s *Scheduler) Started() bool { return s.started }
 
 // Phase returns a debug label of the current state.
 func (s *Scheduler) Phase() string {

@@ -122,7 +122,7 @@ func TestHeapMatchesSortedReference(t *testing.T) {
 			cancel(rng.Intn(nextID))
 		}
 		cancelRoot()
-		e.Run()
+		e.RunUntil(1e6) // past every event the schedule can post
 		if left := ref.live(); left != 0 || e.Pending() != 0 {
 			t.Fatalf("seed %d: run ended with %d pending, reference holds %d", seed, e.Pending(), left)
 		}

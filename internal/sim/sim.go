@@ -44,12 +44,6 @@ type Event struct {
 	index    int  // heap index, -1 once popped
 }
 
-// At returns the virtual time the event fires at.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether the event has been canceled.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // before reports whether a fires ahead of b: earlier time first, and
 // among equal times the earlier-scheduled event (FIFO tie-break).
 func (a *Event) before(b *Event) bool {
@@ -353,9 +347,6 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
 // SetContext arms the engine's cancellation check: while ctx is live the
 // run loops poll ctx.Err() every CancelPollInterval executed events (see
 // SetCancelPollInterval) and halt when it is non-nil. A nil ctx disarms
@@ -386,7 +377,7 @@ func (e *Engine) SetCancelPollInterval(n int) {
 }
 
 // Err reports why the last run halted early: the context's error when the
-// run was canceled, nil otherwise (including after Stop).
+// run was canceled, nil otherwise.
 func (e *Engine) Err() error { return e.ctxErr }
 
 // canceled polls the armed context, recording its error and halting the
@@ -423,18 +414,10 @@ func (e *Engine) step(limit Time) bool {
 	return true
 }
 
-// Run executes events until the queue drains, Stop is called, or the
-// context set via SetContext is canceled, then settles the registered lazy
-// processes.
-func (e *Engine) Run() {
-	e.loop(math.Inf(1))
-	e.settle()
-}
-
 // RunUntil executes events with timestamps <= horizon, then advances the
 // clock to exactly horizon and settles the registered lazy processes.
-// Events scheduled beyond the horizon remain pending. A run halted by Stop
-// or by context cancellation (see SetContext; check Err) leaves the clock
+// Events scheduled beyond the horizon remain pending. A run halted by
+// context cancellation (see SetContext; check Err) leaves the clock
 // at the last executed event.
 func (e *Engine) RunUntil(horizon Time) {
 	e.loop(horizon)
@@ -444,8 +427,8 @@ func (e *Engine) RunUntil(horizon Time) {
 	e.settle()
 }
 
-// loop executes events with timestamps <= limit until none is left, Stop
-// is called, or the armed context is canceled (which also sets stopped).
+// loop executes events with timestamps <= limit until none is left or the
+// armed context is canceled (which sets stopped).
 func (e *Engine) loop(limit Time) {
 	e.stopped = false
 	if e.canceled() {

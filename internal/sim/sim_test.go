@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -14,7 +16,7 @@ func TestScheduleOrdering(t *testing.T) {
 	e.Schedule(30, func() { got = append(got, 3) })
 	e.Schedule(10, func() { got = append(got, 1) })
 	e.Schedule(20, func() { got = append(got, 2) })
-	e.Run()
+	e.RunUntil(30)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("wrong order: %v", got)
 	}
@@ -30,7 +32,7 @@ func TestFIFOTieBreak(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { got = append(got, i) })
 	}
-	e.Run()
+	e.RunUntil(5)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events out of FIFO order: %v", got)
@@ -53,7 +55,7 @@ func TestPostReservedTieBreak(t *testing.T) {
 		e.PostReserved(5, first+1, add("reserved1"))
 		e.PostReserved(5, first, add("reserved0"))
 	})
-	e.Run()
+	e.RunUntil(5)
 	want := []string{"before", "reserved0", "reserved1", "after"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -72,7 +74,7 @@ func TestAfterRelative(t *testing.T) {
 	e.Schedule(100, func() {
 		e.After(50, func() { at = e.Now() })
 	})
-	e.Run()
+	e.RunUntil(150)
 	if at != 150 {
 		t.Fatalf("After fired at %v, want 150", at)
 	}
@@ -88,7 +90,7 @@ func TestSchedulePastPanics(t *testing.T) {
 		}()
 		e.Schedule(5, func() {})
 	})
-	e.Run()
+	e.RunUntil(10)
 }
 
 func TestCancel(t *testing.T) {
@@ -98,7 +100,7 @@ func TestCancel(t *testing.T) {
 	e.Cancel(ev)
 	e.Cancel(ev) // double cancel is a no-op
 	e.Cancel(nil)
-	e.Run()
+	e.RunUntil(10)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -109,7 +111,7 @@ func TestCancelFromWithinEarlierEvent(t *testing.T) {
 	fired := false
 	ev := e.Schedule(20, func() { fired = true })
 	e.Schedule(10, func() { e.Cancel(ev) })
-	e.Run()
+	e.RunUntil(20)
 	if fired {
 		t.Fatal("event canceled mid-run still fired")
 	}
@@ -137,25 +139,31 @@ func TestRunUntilHorizon(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
+	// Canceling the run's context from inside an event, with a poll after
+	// every event, halts the run right after that event returns.
 	e := NewEngine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.SetCancelPollInterval(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
 		e.Schedule(Time(i), func() {
 			count++
 			if count == 3 {
-				e.Stop()
+				cancel()
 			}
 		})
 	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not halt promptly: count=%d", count)
+	if err := e.RunUntilCtx(ctx, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
+	if count != 3 {
+		t.Fatalf("cancel did not halt promptly: count=%d", count)
+	}
+	if e.Pending() != 7 || e.Now() != 3 {
+		t.Fatalf("pending = %d at %v, want 7 at 3", e.Pending(), e.Now())
 	}
 }
-
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
@@ -240,7 +248,7 @@ func TestHeapProperty(t *testing.T) {
 		at := at
 		e2.Schedule(at, func() { fired = append(fired, at) })
 	}
-	e2.Run()
+	e2.RunUntil(100000)
 	if !sort.Float64sAreSorted(fired) {
 		t.Fatal("events fired out of order")
 	}
@@ -264,7 +272,7 @@ func TestDynamicScheduling(t *testing.T) {
 		}
 	}
 	e.Schedule(0, step)
-	e.Run()
+	e.RunUntil(999)
 	if n != 1000 {
 		t.Fatalf("chain length = %d", n)
 	}
@@ -281,7 +289,7 @@ func TestPostOrderingMatchesSchedule(t *testing.T) {
 	e.Post(10, func() { got = append(got, 0) })
 	e.Schedule(10, func() { got = append(got, 1) })
 	e.PostAfter(10, func() { got = append(got, 2) })
-	e.Run()
+	e.RunUntil(10)
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("wrong order: %v", got)
 	}
@@ -300,7 +308,7 @@ func TestPostChainRecyclesEvents(t *testing.T) {
 		}
 	}
 	e.Post(0, step)
-	e.Run()
+	e.RunUntil(10000)
 	if n != 10000 {
 		t.Fatalf("chain length = %d", n)
 	}
@@ -323,7 +331,7 @@ func TestCancelUnaffectedByRecycling(t *testing.T) {
 	}
 	e.Post(25, func() { e.Cancel(ev) })
 	e.Post(60, func() { fired = true })
-	e.Run()
+	e.RunUntil(100)
 	if canceled {
 		t.Fatal("canceled event fired")
 	}
@@ -344,7 +352,7 @@ func TestFreeListGrowsGeometrically(t *testing.T) {
 	if e.slabSize < 512 {
 		t.Fatalf("slabSize = %d after %d in-flight events, want >= 512", e.slabSize, burst)
 	}
-	e.Run()
+	e.RunUntil(burst)
 	if len(e.free) < burst {
 		t.Fatalf("free list holds %d events after drain, want >= %d", len(e.free), burst)
 	}
@@ -360,7 +368,7 @@ func TestFreeListSlabCap(t *testing.T) {
 	if e.slabSize != maxSlabSize {
 		t.Fatalf("slabSize = %d, want capped at %d", e.slabSize, maxSlabSize)
 	}
-	e.Run()
+	e.RunUntil(5 * maxSlabSize)
 }
 
 func TestSteadyStateEventLoopZeroAllocs(t *testing.T) {

@@ -70,9 +70,6 @@ func (t *Tracker) Add(start, end sim.Time) {
 	t.episodes = append(t.episodes, metrics.Interval{Start: start, End: end})
 }
 
-// Episodes returns the number of recorded episodes.
-func (t *Tracker) Episodes() int { return len(t.episodes) }
-
 // DowntimeIn returns total downtime intersecting the window [w0, w1).
 func (t *Tracker) DowntimeIn(w0, w1 sim.Time) sim.Duration {
 	if w1 <= w0 {

@@ -27,8 +27,8 @@ func TestTrackerBasics(t *testing.T) {
 	tr.Add(100, 130) // 30 s
 	tr.Add(500, 500) // ignored: zero length
 	tr.Add(900, 910) // 10 s
-	if tr.Episodes() != 2 {
-		t.Fatalf("episodes = %d", tr.Episodes())
+	if len(tr.episodes) != 2 {
+		t.Fatalf("episodes = %d", len(tr.episodes))
 	}
 	if got := tr.DowntimeIn(0, 1000); got != 40 {
 		t.Fatalf("downtime = %v", got)
@@ -47,8 +47,8 @@ func TestTrackerMergesOverlaps(t *testing.T) {
 	tr.Add(100, 200)
 	tr.Add(150, 250) // overlaps: merged, extends to 250
 	tr.Add(160, 170) // contained: swallowed
-	if tr.Episodes() != 1 {
-		t.Fatalf("episodes = %d, want merged 1", tr.Episodes())
+	if len(tr.episodes) != 1 {
+		t.Fatalf("episodes = %d, want merged 1", len(tr.episodes))
 	}
 	if got := tr.DowntimeIn(0, 1000); got != 150 {
 		t.Fatalf("merged downtime = %v, want 150", got)
@@ -145,8 +145,8 @@ func TestEpisodeDistribution(t *testing.T) {
 func TestFromLog(t *testing.T) {
 	log := []metrics.Interval{{Start: 5, End: 15}, {Start: 100, End: 120}}
 	tr := FromLog(log)
-	if tr.Episodes() != 2 || tr.DowntimeIn(0, 200) != 30 {
+	if len(tr.episodes) != 2 || tr.DowntimeIn(0, 200) != 30 {
 		t.Fatalf("FromLog wrong: %d episodes, %v downtime",
-			tr.Episodes(), tr.DowntimeIn(0, 200))
+			len(tr.episodes), tr.DowntimeIn(0, 200))
 	}
 }

@@ -12,32 +12,17 @@ import (
 // ErrEmpty is returned by reducers that need at least one sample.
 var ErrEmpty = errors.New("stats: empty input")
 
-// Welford accumulates count, mean and variance in one pass with good
-// numerical behaviour. The zero value is ready to use.
+// Welford accumulates a count and a running mean in one pass with
+// Welford's numerically stable update. The zero value is ready to use.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the number of observations.
@@ -45,55 +30,6 @@ func (w *Welford) N() int { return w.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance, or 0 with fewer than two
-// samples.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// PopStd returns the population standard deviation (dividing by n).
-func (w *Welford) PopStd() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
-}
-
-// Min returns the smallest observation, or 0 with no samples.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation, or 0 with no samples.
-func (w *Welford) Max() float64 { return w.max }
-
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	mean := w.mean + d*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	mn, mx := w.min, w.max
-	if o.min < mn {
-		mn = o.min
-	}
-	if o.max > mx {
-		mx = o.max
-	}
-	*w = Welford{n: n, mean: mean, m2: m2, min: mn, max: mx}
-}
 
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) float64 {
@@ -105,16 +41,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the sample standard deviation of xs (0 for fewer than two
-// values).
-func Std(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Std()
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear

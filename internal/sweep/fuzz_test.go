@@ -41,9 +41,8 @@ func FuzzParseGrid(f *testing.F) {
 		if err != nil {
 			return // values the scheduler config rejects
 		}
-		if len(plan.Points) != points || plan.Cells(3) != 3*points {
-			t.Fatalf("ParseGrid(%q): plan has %d points (%d cells over 3 seeds), want %d",
-				s, len(plan.Points), plan.Cells(3), points)
+		if len(plan.Points) != points {
+			t.Fatalf("ParseGrid(%q): plan has %d points, want %d", s, len(plan.Points), points)
 		}
 	})
 }

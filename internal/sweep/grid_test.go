@@ -74,8 +74,8 @@ func TestNewPlanCrossProduct(t *testing.T) {
 			t.Errorf("family %d members %v, want %v", i, f.Members, wantFams[i])
 		}
 	}
-	if got := plan.Cells(3); got != 12 {
-		t.Fatalf("Cells(3) = %d, want 12", got)
+	if got := len(plan.Points); got != 4 {
+		t.Fatalf("points = %d, want 4", got)
 	}
 }
 

@@ -42,10 +42,6 @@ type Spec struct {
 	// WarmStart: classes that never diverge still share outright.
 	Fork bool
 
-	// CheckpointEvery is the capture cadence of fork pilots in simulated
-	// time. 0 means a default of six simulated hours.
-	CheckpointEvery sim.Duration
-
 	// Prune cuts configurations that are strictly worse on cost and no
 	// better on availability than another configuration on every seed
 	// evaluated so far. Pruned configs are reported with the point that
@@ -143,7 +139,7 @@ type seedStat struct {
 // pointState is the per-grid-point running state: a streaming mean
 // accumulator plus the compact per-seed stats and reuse tallies.
 type pointState struct {
-	accum       reportAccum
+	accum       metrics.Accum
 	stats       []seedStat
 	sharedSeeds int
 	forkedSeeds int
@@ -159,6 +155,9 @@ type pointState struct {
 // dominator just runs a config that could have been cut; it never cuts a
 // config that should have run.
 const maxDominatorChecks = 4
+
+// checkpointEvery is the capture cadence of fork pilots in simulated time.
+const checkpointEvery = 6 * sim.Hour
 
 // waveJob is one phase-1 simulation of a seed wave: a cold run, with
 // checkpoint capture when the point pilots forks.
@@ -225,11 +224,6 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			return cache.Generate(mc)
 		}
 	}
-	ckEvery := spec.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 6 * sim.Hour
-	}
-
 	nP := len(plan.Points)
 	totalCells := nP * len(spec.Seeds)
 	states := make([]pointState, nP)
@@ -376,7 +370,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			cp.Seed = seed
 			cfg := plan.Points[j.pt].Config
 			if j.capture {
-				rep, lg, err := sched.RunWithCheckpointsCtx(ctx, set, cp, cfg, horizon, ckEvery)
+				rep, lg, err := sched.RunWithCheckpointsCtx(ctx, set, cp, cfg, horizon, checkpointEvery)
 				if err == nil {
 					done.Add(1)
 					simulated.Add(1)
@@ -484,7 +478,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 				sharedCt.Add(1)
 				done.Add(1)
 			}
-			st.accum.add(r.rep)
+			st.accum.Add(r.rep)
 			st.stats = append(st.stats, seedStat{cost: r.rep.NormalizedCost(), unav: r.rep.Unavailability()})
 			if r.shared {
 				st.sharedSeeds++
@@ -538,7 +532,7 @@ func Run(ctx context.Context, spec *Spec) (*Summary, error) {
 			Point:       p,
 			Values:      plan.Points[p].Values,
 			SeedsRun:    len(st.stats),
-			Mean:        st.accum.mean(),
+			Mean:        st.accum.Mean(),
 			SharedSeeds: st.sharedSeeds,
 			ForkedSeeds: st.forkedSeeds,
 			Pilot:       st.pilot,

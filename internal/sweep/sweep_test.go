@@ -2,12 +2,10 @@ package sweep
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"spothost/internal/market"
-	"spothost/internal/metrics"
 	"spothost/internal/sim"
 )
 
@@ -39,6 +37,18 @@ func flatUniverse(t *testing.T, base, spikeTo float64, spikeDur sim.Duration, da
 	return set
 }
 
+// shareClasses partitions family members (point indices sorted by
+// ascending warm value) into runs certified to simulate identically on
+// set within [0, horizon), as the runner's divergence scan does.
+func shareClasses(t *testing.T, plan *Plan, members []int, set *market.Set, bidCap float64, horizon sim.Time) [][]int {
+	t.Helper()
+	times, ok := adjacentDivergeTimes(plan, members, set, bidCap, horizon)
+	if !ok {
+		t.Fatalf("no divergence oracle for the warm axis of %v", plan.Axes)
+	}
+	return classesFromTimes(members, times, horizon)
+}
+
 func TestShareClassesBid(t *testing.T) {
 	// Price never leaves base 0.5x on-demand: no bid band is ever hit, so
 	// every bid value below the cap collapses into one class.
@@ -48,7 +58,7 @@ func TestShareClassesBid(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := plan.Families[0].Members
-	classes := shareClasses(plan, members, quiet, 4, quiet.Horizon())
+	classes := shareClasses(t, plan, members, quiet, 4, quiet.Horizon())
 	if len(classes) != 1 || len(classes[0]) != 6 {
 		t.Fatalf("quiet universe classes = %v, want one class of 6", classes)
 	}
@@ -57,7 +67,7 @@ func TestShareClassesBid(t *testing.T) {
 	// above it: the spike price lands in (e_lo, e_hi] exactly when the
 	// pair straddles 2.5. Values 4, 5, 8 share the capped effective bid.
 	spiky := flatUniverse(t, 0.5, 2.5, 20*sim.Minute, 3)
-	classes = shareClasses(plan, members, spiky, 4, spiky.Horizon())
+	classes = shareClasses(t, plan, members, spiky, 4, spiky.Horizon())
 	// 1.5 vs 2: the spike price 0.25 is above both effective bids, so both
 	// get revoked identically — the band (0.15, 0.2] is never hit and they
 	// certify equal. 2 vs 3 straddles the spike (0.25 in (0.2, 0.3]) and
@@ -70,7 +80,7 @@ func TestShareClassesBid(t *testing.T) {
 
 	// Beyond the horizon, spikes must not count: certify over just the
 	// first 12 hours (before any spike) and everything merges again.
-	classes = shareClasses(plan, members, spiky, 4, 12*sim.Hour)
+	classes = shareClasses(t, plan, members, spiky, 4, 12*sim.Hour)
 	if len(classes) != 1 {
 		t.Fatalf("pre-spike horizon classes = %v, want one class", classes)
 	}
@@ -96,7 +106,7 @@ func TestShareClassesHysteresis(t *testing.T) {
 		plan.Points[i].Config.Home = testHome
 	}
 	members := plan.Families[0].Members
-	classes := shareClasses(plan, members, set, 4, set.Horizon())
+	classes := shareClasses(t, plan, members, set, 4, set.Horizon())
 	if len(classes) < 2 {
 		t.Fatalf("classes = %v: 0.02 and 0.1 must diverge (ratio 0.952 in band)", classes)
 	}
@@ -108,7 +118,7 @@ func TestShareClassesHysteresis(t *testing.T) {
 	// (0.02, 0.4] catches them... except ratio 0.5 needs 1-h < 0.5, i.e.
 	// h > 0.5, outside the range — so all three values certify equal.
 	quiet := flatUniverse(t, 0.5, 0, 0, 3)
-	classes = shareClasses(plan, members, quiet, 4, quiet.Horizon())
+	classes = shareClasses(t, plan, members, quiet, 4, quiet.Horizon())
 	if len(classes) != 1 || len(classes[0]) != 3 {
 		t.Fatalf("quiet classes = %v, want one class of 3", classes)
 	}
@@ -360,43 +370,5 @@ func TestPruneDominatedUnit(t *testing.T) {
 	// Running again changes nothing: 1 is out, no new dominance appears.
 	if again := pruneDominated(states, 2); len(again) != 0 {
 		t.Fatalf("second pass cut %v", again)
-	}
-}
-
-func TestAccumMatchesAverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	reports := make([]metrics.Report, 7)
-	for i := range reports {
-		reports[i] = metrics.Report{
-			Policy:          "proactive",
-			Mechanism:       "ckpt+lazy+live",
-			VMs:             4,
-			Horizon:         30 * sim.Day,
-			Cost:            rng.Float64() * 100,
-			BaselineCost:    100,
-			CheckpointGB:    rng.Float64() * 50,
-			SpotSeconds:     rng.Float64() * 2e6,
-			OnDemandSeconds: rng.Float64() * 1e5,
-			DowntimeSeconds: rng.Float64() * 300,
-			DegradedSeconds: rng.Float64() * 900,
-			DownEpisodes:    rng.Intn(20),
-			LongestDowntime: sim.Duration(rng.Intn(120)),
-			Migrations: metrics.MigrationCounts{
-				Forced:      rng.Intn(30),
-				Planned:     rng.Intn(30),
-				Reverse:     rng.Intn(30),
-				CrossRegion: rng.Intn(5),
-				MemoryLost:  rng.Intn(5),
-			},
-			DowntimeLog: []metrics.Interval{{Start: 1, End: 2}},
-		}
-	}
-	var acc reportAccum
-	for _, r := range reports {
-		acc.add(r)
-	}
-	want := metrics.Average(reports)
-	if got := acc.mean(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("streaming mean differs from metrics.Average:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }

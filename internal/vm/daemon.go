@@ -130,20 +130,3 @@ func (d *CheckpointDaemon) Stop() {
 	d.stopped = true
 	d.running = false
 }
-
-// Stats reports the daemon's activity.
-type DaemonStats struct {
-	FullCheckpoints int
-	Incrementals    int
-	BytesWrittenMB  float64
-}
-
-// Stats returns a snapshot of the daemon's activity counters.
-func (d *CheckpointDaemon) Stats() DaemonStats {
-	d.Settle()
-	return DaemonStats{
-		FullCheckpoints: d.st.FullCheckpoints,
-		Incrementals:    d.st.Incrementals,
-		BytesWrittenMB:  d.st.BytesWrittenMB,
-	}
-}

@@ -80,7 +80,7 @@ func TestDaemonBoundHolds(t *testing.T) {
 	if violations > 0 {
 		t.Fatalf("Yank bound violated at %d/%d instants", violations, checks)
 	}
-	st := d.Stats()
+	st := d.Snapshot()
 	if st.FullCheckpoints != 1 {
 		t.Fatalf("full checkpoints = %d", st.FullCheckpoints)
 	}
@@ -99,7 +99,7 @@ func TestDaemonWriteVolume(t *testing.T) {
 	}
 	horizon := 4 * sim.Hour
 	eng.RunUntil(horizon)
-	st := d.Stats()
+	st := d.Snapshot()
 	expected := hostedVM.MemoryMB() + hostedVM.DirtyRateMBps*horizon
 	if st.BytesWrittenMB < expected*0.8 || st.BytesWrittenMB > expected*1.05 {
 		t.Fatalf("bytes written %.0f MB, expected ~%.0f MB", st.BytesWrittenMB, expected)
@@ -114,8 +114,8 @@ func TestDaemonObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(2 * sim.Hour)
-	if math.Abs(total-d.Stats().BytesWrittenMB) > 1e-9 {
-		t.Fatalf("observer saw %.1f MB, stats say %.1f MB", total, d.Stats().BytesWrittenMB)
+	if math.Abs(total-d.Snapshot().BytesWrittenMB) > 1e-9 {
+		t.Fatalf("observer saw %.1f MB, stats say %.1f MB", total, d.Snapshot().BytesWrittenMB)
 	}
 	if total <= hostedVM.MemoryMB() {
 		t.Fatalf("observer missed incrementals: %.1f", total)
@@ -137,7 +137,7 @@ func TestDaemonIdleVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(3 * sim.Hour)
-	st := d.Stats()
+	st := d.Snapshot()
 	if st.FullCheckpoints != 1 || st.Incrementals != 0 {
 		t.Fatalf("idle VM should checkpoint once: %+v", st)
 	}
@@ -156,9 +156,9 @@ func TestDaemonStopHaltsWrites(t *testing.T) {
 	}
 	eng.RunUntil(sim.Hour)
 	d.Stop()
-	before := d.Stats().BytesWrittenMB
+	before := d.Snapshot().BytesWrittenMB
 	eng.RunUntil(3 * sim.Hour)
-	if d.Stats().BytesWrittenMB != before {
+	if d.Snapshot().BytesWrittenMB != before {
 		t.Fatal("daemon kept writing after Stop")
 	}
 	// A stopped daemon protects nothing.
@@ -178,7 +178,7 @@ func TestDaemonIntervalMatchesAnalyticModel(t *testing.T) {
 	}
 	horizon := 5 * sim.Hour
 	eng.RunUntil(horizon)
-	st := d.Stats()
+	st := d.Snapshot()
 	// After the initial full write, increments recur every interval (the
 	// write itself overlaps the next interval's accumulation).
 	expected := (horizon - hostedVM.MemoryMB()/p.CheckpointWriteMBps) / interval
@@ -307,14 +307,6 @@ func (d *eventDaemon) Stop() {
 	d.running = false
 }
 
-func (d *eventDaemon) Stats() DaemonStats {
-	return DaemonStats{
-		FullCheckpoints: d.fullCheckpoints,
-		Incrementals:    d.incrementals,
-		BytesWrittenMB:  d.bytesWrittenMB,
-	}
-}
-
 // Snapshot reconstructs the one pending event from the write clocks with
 // the arithmetic that armed it.
 func (d *eventDaemon) Snapshot() DaemonState {
@@ -373,7 +365,6 @@ type daemonModel interface {
 	OnWrite(fn func(mb float64))
 	Start() error
 	Stop()
-	Stats() DaemonStats
 	Snapshot() DaemonState
 	ExposureMB() float64
 	FinalSaveTime() sim.Duration
@@ -455,12 +446,12 @@ func driveDaemon(impl daemonImpl, spec Spec, p Params, ops []daemonOp, horizon s
 		case daemonOpStop:
 			if cur != nil {
 				cur.Stop()
-				logf("stop %+v %+v", cur.Stats(), cur.Snapshot())
+				logf("stop %+v", cur.Snapshot())
 				cur = nil // the next start opens a new epoch
 			}
 		case daemonOpObserve:
 			if cur != nil {
-				logf("observe %v %v %+v %+v", cur.ExposureMB(), cur.FinalSaveTime(), cur.Stats(), cur.Snapshot())
+				logf("observe %v %v %+v", cur.ExposureMB(), cur.FinalSaveTime(), cur.Snapshot())
 			}
 		}
 	}
@@ -493,7 +484,7 @@ func driveDaemon(impl daemonImpl, spec Spec, p Params, ops []daemonOp, horizon s
 	}
 	eng.RunUntil(horizon)
 	if cur != nil {
-		logf("end %+v %+v", cur.Stats(), cur.Snapshot())
+		logf("end %+v", cur.Snapshot())
 	}
 	return writes, log
 }

@@ -86,7 +86,7 @@ func TestRestoreCheckpointDaemonContinues(t *testing.T) {
 	if math.Abs(sum-fullSum) != 0 {
 		t.Fatalf("write totals differ: %v vs %v", sum, fullSum)
 	}
-	if s1, s2 := d.Stats(), d2.Stats(); s1 != s2 {
-		t.Fatalf("stats diverge: uninterrupted %+v vs resumed %+v", s1, s2)
+	if s1, s2 := d.Snapshot(), d2.Snapshot(); s1 != s2 {
+		t.Fatalf("states diverge: uninterrupted %+v vs resumed %+v", s1, s2)
 	}
 }
